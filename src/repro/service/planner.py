@@ -20,15 +20,24 @@ Three properties make it a service rather than a loop around
   and never splits the key.  N identical concurrent requests therefore
   trigger exactly one cold evaluation; arrivals after the leader
   finishes are served warm from the cost cache.
-- **Serialized evaluation.**  One sweep runs at a time
-  (``_eval_lock``): the tuner's IR cache and telemetry are
-  single-writer structures, and a plan sweep is CPU-bound anyway --
-  concurrency buys throughput through the shared cache, not through
-  parallel sweeps.  ``workers=N`` still parallelises *within* a sweep.
+- **Lock-free warm reads, serialized cold evaluation.**  Every plan
+  first runs :func:`~repro.tuner.autotune` over a read-only view of the
+  shared cache (:class:`~repro.tuner.cache.ReadOnlyCostCache`), with no
+  lock, no process pool, a private IR cache and no shared telemetry.
+  A query whose candidates are all cached is answered right there, so
+  warm answers never queue behind cold work.  The view aborts on the
+  first cold candidate, and only then does the request take
+  ``_eval_lock``: one cold evaluation runs at a time, because the
+  tuner's IR cache and telemetry are single-writer structures and a
+  cold sweep is CPU-bound anyway -- concurrency buys throughput through
+  the shared cache, not through parallel sweeps.  ``workers=N`` still
+  parallelises *within* a cold sweep.
 - **Background sweeps.**  :meth:`start_sweep` pre-fills a workload
   neighbourhood (a :class:`~repro.workloads.WorkloadGrid`) on a daemon
   thread through :func:`~repro.tuner.grid.tune_grid` into the same
   cache, so the named plan queries it anticipates are answered warm.
+  A sweep takes ``_eval_lock`` once per grid point, so cold plan
+  requests interleave with it instead of waiting for the whole grid.
 
 Every response is canonical JSON-ready data; notably
 :func:`plan_payload` is the single serialisation of a
@@ -38,6 +47,9 @@ compared byte-for-byte against a direct :func:`autotune` run.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -46,7 +58,7 @@ from typing import Any, Mapping
 from repro.model.config import MODEL_PRESETS
 from repro.schedules.registry import workload_cache_key
 from repro.tuner.autotune import PlanResult, autotune
-from repro.tuner.cache import CostCache
+from repro.tuner.cache import CacheMiss, CostCache, ReadOnlyCostCache
 from repro.tuner.grid import tune_grid
 from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
@@ -306,12 +318,17 @@ class PlannerService:
         self.save_path = save_path
         self.save_backend = save_backend
         self.telemetry = ServiceTelemetry()
-        self.sweep_telemetry = SweepTelemetry()
+        self._telemetry_lock = threading.Lock()
+        #: Sum of every finished evaluation's per-phase telemetry; each
+        #: evaluation fills a private instance and merges it here.
+        self.sweep_telemetry = SweepTelemetry()  # guarded-by: _telemetry_lock
         self.started_at = time.time()
         self._ir_cache = ScheduleIRCache()
         self._eval_lock = threading.Lock()
         self._inflight_lock = threading.Lock()
         self._inflight: dict[tuple, _Inflight] = {}  # guarded-by: _inflight_lock
+        #: Sweep id -> record.  Records are replaced, never mutated, so a
+        #: copy taken under the lock is a consistent snapshot.
         self._sweeps: dict[str, dict[str, Any]] = {}  # guarded-by: _inflight_lock
         self._sweep_seq = 0  # guarded-by: _inflight_lock
         self._threads: list[threading.Thread] = []  # guarded-by: _inflight_lock
@@ -322,22 +339,43 @@ class PlannerService:
 
     def _evaluate(self, query: PlanQuery, workload: Workload) -> tuple[list[PlanResult], bool]:
         """Run the sweep for ``query``; returns (plans, ran_cold_evals)."""
-        # _eval_lock exists to serialize evaluation; see the class docstring.
-        with self._eval_lock:  # lint-code: allow(blocking-under-lock) -- deliberate serialization
-            misses_before = self.cache.stats.misses
-            plans = autotune(
-                workload,
-                query.memory_cap_bytes(workload),
-                schedules=list(query.schedules) if query.schedules else None,
-                option_grids=None if query.options else {},
-                cache=self.cache,
-                workers=self.workers,
-                prune=query.prune,
-                ir_cache=self._ir_cache,
-                telemetry=self.sweep_telemetry,
-            )
-            cold = self.cache.stats.misses > misses_before
+        sweep = functools.partial(
+            autotune,
+            workload,
+            query.memory_cap_bytes(workload),
+            schedules=list(query.schedules) if query.schedules else None,
+            option_grids=None if query.options else {},
+            prune=query.prune,
+        )
+        # Warm attempt: lock-free over a read-only view, aborted by the
+        # first candidate the cache does not hold.
+        view = ReadOnlyCostCache(self.cache)
+        try:
+            plans = sweep(cache=view)
+        except CacheMiss:
+            pass
+        else:
+            view.commit()
+            return plans, False
+        telemetry = SweepTelemetry()
+        try:
+            # _eval_lock exists to serialize evaluation; see the class docstring.
+            with self._eval_lock:  # lint-code: allow(blocking-under-lock) -- deliberate serialization
+                misses_before = self.cache.stats.misses
+                plans = sweep(
+                    cache=self.cache,
+                    workers=self.workers,
+                    ir_cache=self._ir_cache,
+                    telemetry=telemetry,
+                )
+                cold = self.cache.stats.misses > misses_before
+        finally:
+            self._merge_telemetry(telemetry)
         return plans, cold
+
+    def _merge_telemetry(self, telemetry: SweepTelemetry) -> None:
+        with self._telemetry_lock:
+            self.sweep_telemetry.merge(telemetry)
 
     def plan(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Answer one plan request (the ``POST /v1/plan`` body)."""
@@ -369,8 +407,18 @@ class PlannerService:
             flight.done.wait()
             if flight.error is not None:
                 # The leader's failure is this request's failure too --
-                # same query, same deterministic evaluation.
-                raise ValueError(str(flight.error))
+                # same query, same deterministic evaluation -- and keeps
+                # its class, so the HTTP status matches the leader's.
+                # Each follower raises its own copy: one exception object
+                # raised in several threads would share a traceback.
+                err = flight.error
+                try:
+                    clone = copy.copy(err)
+                except Exception:  # a class that cannot be rebuilt from its args
+                    clone = err
+                if clone is err:
+                    raise err
+                raise clone from err
             outcome = "coalesced"
 
         plans = flight.plans
@@ -450,61 +498,76 @@ class PlannerService:
                 raise ValueError("service is shutting down")
             self._sweep_seq += 1
             sweep_id = f"sweep-{self._sweep_seq}"
-        record: dict[str, Any] = {
-            "id": sweep_id,
-            "state": "running",
-            "grid": grid.label,
-            "points": len(grid),
-            "candidates": None,
-            "error": None,
-            "started_s": round(time.time() - self.started_at, 3),
-            "elapsed_s": None,
-        }
-        thread = threading.Thread(
-            target=self._run_sweep,
-            args=(record, grid, schedules, options),
-            name=sweep_id,
-            daemon=True,
-        )
-        with self._inflight_lock:
-            self._sweeps[sweep_id] = record
-            # Drop finished sweep threads so the list stays bounded; the
-            # records themselves are kept for /v1/sweeps history.
+            self._sweeps[sweep_id] = {
+                "id": sweep_id,
+                "state": "running",
+                "grid": grid.label,
+                "points": len(grid),
+                "candidates": None,
+                "error": None,
+                "started_s": round(time.time() - self.started_at, 3),
+                "elapsed_s": None,
+            }
+            thread = threading.Thread(
+                target=self._run_sweep,
+                args=(sweep_id, grid, schedules, options),
+                name=sweep_id,
+                daemon=True,
+            )
+            # Started under the lock, in the same critical section that
+            # checked _closed: close() then either rejects this sweep or
+            # finds its thread started and joins it.  Only threads that
+            # have started and exited are pruned from the list.
+            self.telemetry.record_sweep("started")
+            thread.start()
             self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
-        self.telemetry.record_sweep("started")
-        thread.start()
         return {"sweep": sweep_id, "state": "running", "points": len(grid)}
 
     def _run_sweep(
         self,
-        record: dict[str, Any],
+        sweep_id: str,
         grid: WorkloadGrid,
         schedules: tuple[str, ...] | None,
         options: bool,
     ) -> None:
         t0 = time.perf_counter()
+        update: dict[str, Any]
         try:
-            with self._eval_lock:  # lint-code: allow(blocking-under-lock) -- deliberate serialization
-                plans = tune_grid(
-                    grid,
-                    schedules=list(schedules) if schedules else None,
-                    option_grids=None if options else {},
-                    cache=self.cache,
-                    workers=self.workers,
-                    ir_cache=self._ir_cache,
-                    telemetry=self.sweep_telemetry,
-                )
-            record["candidates"] = len(plans)
-            record["state"] = "done"
-            self.telemetry.record_sweep("completed")
+            candidates = 0
+            # One grid point per _eval_lock hold, so plan requests that
+            # need cold evaluation wait for at most one point.
+            for seq_len in grid.seq_lens:
+                for p in grid.pipeline_sizes:
+                    point = dataclasses.replace(
+                        grid, seq_lens=(seq_len,), pipeline_sizes=(p,)
+                    )
+                    telemetry = SweepTelemetry()
+                    try:
+                        with self._eval_lock:  # lint-code: allow(blocking-under-lock) -- deliberate serialization
+                            candidates += len(
+                                tune_grid(
+                                    point,
+                                    schedules=list(schedules) if schedules else None,
+                                    option_grids=None if options else {},
+                                    cache=self.cache,
+                                    workers=self.workers,
+                                    ir_cache=self._ir_cache,
+                                    telemetry=telemetry,
+                                )
+                            )
+                    finally:
+                        self._merge_telemetry(telemetry)
             self.save_cache()
         except Exception as err:  # surfaced via /v1/sweeps, not a crash
-            record["error"] = str(err)
-            record["state"] = "failed"
+            update = {"state": "failed", "error": str(err)}
             self.telemetry.record_sweep("failed")
-        finally:
-            record["elapsed_s"] = round(time.perf_counter() - t0, 3)
+        else:
+            update = {"state": "done", "candidates": candidates}
+            self.telemetry.record_sweep("completed")
+        update["elapsed_s"] = round(time.perf_counter() - t0, 3)
+        with self._inflight_lock:
+            self._sweeps[sweep_id] = {**self._sweeps[sweep_id], **update}
 
     def sweeps(self) -> list[dict[str, Any]]:
         """Every sweep launched by this process, oldest first."""
@@ -546,6 +609,8 @@ class PlannerService:
     def stats(self) -> dict[str, Any]:
         stats = self.cache.stats
         store = self.cache.store
+        with self._telemetry_lock:
+            sweep_telemetry = self.sweep_telemetry.as_dict()
         return {
             "uptime_s": round(time.time() - self.started_at, 3),
             "telemetry": self.telemetry.as_dict(),
@@ -559,7 +624,7 @@ class PlannerService:
                 "backend": "sqlite" if store is not None else "memory/json",
                 "path": store.path if store is not None else self.save_path,
             },
-            "sweep_telemetry": self.sweep_telemetry.as_dict(),
+            "sweep_telemetry": sweep_telemetry,
             "sweeps": self.sweeps(),
         }
 

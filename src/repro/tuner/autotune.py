@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -54,7 +55,12 @@ from repro.schedules.registry import (
 from repro.sim import resimulate, simulate, simulate_recording
 from repro.sim.engine import DeadlockError
 from repro.tuner.bounds import throughput_upper_bounds
-from repro.tuner.cache import DEFAULT_CACHE, CostCache
+from repro.tuner.cache import (
+    DEFAULT_CACHE,
+    CacheStats,
+    CostCache,
+    ReadOnlyCostCache,
+)
 from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.tuner.worker import evaluate_chunk
@@ -69,6 +75,14 @@ __all__ = ["Candidate", "PlanResult", "enumerate_candidates", "autotune"]
 _MIN_RECORD_OPS = 2000
 
 
+# Automatic GC is process-global, so overlapping sweeps (a background
+# sweep beside a lock-free warm attempt) share one pause: the first
+# sweep in disables collection, the last one out re-enables it.
+_gc_lock = threading.Lock()
+_gc_pauses = 0
+_gc_reenable = False
+
+
 @contextmanager
 def _gc_paused():
     """Pause automatic garbage collection over an allocation burst.
@@ -80,15 +94,24 @@ def _gc_paused():
     counting already reclaims (the sweep's object graphs are acyclic).
     Pausing collection for the sweep removes that overhead; the next
     allocation after re-enabling triggers a normal collection.
+
+    Pauses nest and overlap across threads: collection resumes when the
+    last concurrent pause ends, and only if it was enabled when the
+    first one began.
     """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
+    global _gc_pauses, _gc_reenable
+    with _gc_lock:
+        if _gc_pauses == 0:
+            _gc_reenable = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
     try:
         yield
     finally:
-        gc.enable()
+        with _gc_lock:
+            _gc_pauses -= 1
+            if _gc_pauses == 0 and _gc_reenable:
+                gc.enable()
 
 
 @dataclass(frozen=True)
@@ -594,7 +617,7 @@ def autotune(
     micro_batch_counts: Sequence[int] | None = None,
     option_grids: Mapping[str, Mapping[str, Sequence[Any]]] | None = None,
     fill_budget: bool = False,
-    cache: CostCache | None = None,
+    cache: CostCache | ReadOnlyCostCache | None = None,
     include_infeasible: bool = True,
     workers: int | None = None,
     prune: bool = True,
@@ -632,7 +655,11 @@ def autotune(
         :class:`CostCache` to memoize evaluations in (default: the
         process-wide shared cache).  Identical candidate tuples are
         never re-simulated; pre-load a persisted store with
-        :meth:`CostCache.load` to reuse evaluations across runs.
+        :meth:`CostCache.load` to reuse evaluations across runs.  A
+        :class:`~repro.tuner.cache.ReadOnlyCostCache` view makes the
+        sweep all-or-nothing: it completes from cached records alone or
+        raises :class:`~repro.tuner.cache.CacheMiss` at its first cold
+        candidate (serial sweeps only; ``workers`` must be unset).
     include_infeasible:
         Keep infeasible candidates (with reasons) at the tail of the
         returned list.
@@ -652,9 +679,13 @@ def autotune(
         simulated throughput, hence every candidate it prunes is
         strictly worse.  Pruned candidates surface as infeasible rows
         (reason ``"pruned: ..."``), are counted in
-        :attr:`CacheStats.pruned`, and never enter the cache -- a warm
-        re-sweep replays the identical decisions.  ``prune=False`` is
-        the exhaustive escape hatch; workloads the closed-form model
+        :attr:`CacheStats.pruned`, and never enter the cache.  The
+        decision depends on the bound alone, never on what the cache
+        holds, so the rows are a pure function of the arguments: a
+        sweep over a cache pre-filled by anything (an exhaustive sweep,
+        another process) returns exactly what a fresh-cache sweep does,
+        and a pruned candidate costs no cache lookup.  ``prune=False``
+        is the exhaustive escape hatch; workloads the closed-form model
         cannot price (duck types without model/GPU attributes) disable
         pruning automatically.
     ir_cache:
@@ -766,6 +797,8 @@ def autotune(
     # path the serial sweep uses, so hit/miss accounting is identical.
     remote: dict[tuple, dict[str, Any]] = {}
     if workers and workers > 1:
+        if not isinstance(cache, CostCache):
+            raise TypeError("a read-only cache view sweeps serially; unset workers")
         # Cached feasible throughputs give the pruning floor before any
         # cold work is dispatched.  A candidate the serial replay below
         # prunes at bound ub had some earlier-walked candidate with
@@ -806,19 +839,18 @@ def autotune(
                     remote.update(worker_cache.entries())
 
     best_tps = 0.0
+    pruned = 0
     t_eval = time.perf_counter()
     with _gc_paused():
         for i in order:
             idx, cand, key = pending[i]
-            if key not in cache and ubs is not None and ubs[i] < best_tps:
+            if ubs is not None and ubs[i] < best_tps:
                 # Simulating this candidate cannot change the winner;
-                # report it as pruned.  It never enters the cache, so a
-                # warm re-sweep walks the identical records and replays
-                # the identical decision (cached records are never
-                # pruned).  Remote workers may have speculatively
-                # evaluated it under their weaker pre-dispatch floor;
-                # that record is discarded.
-                cache.stats.pruned += 1
+                # report it as pruned, whether or not the cache happens
+                # to hold its record.  Remote workers may have
+                # speculatively evaluated it under their weaker
+                # pre-dispatch floor; that record is discarded.
+                pruned += 1
                 rows[idx] = _infeasible(
                     cand,
                     f"pruned: throughput upper bound {ubs[i]:.0f} tokens/s "
@@ -838,6 +870,8 @@ def autotune(
             rows[idx] = row
             if row.feasible and row.tokens_per_s > best_tps:
                 best_tps = row.tokens_per_s
+    if pruned:
+        cache.add_stats(CacheStats(pruned=pruned))
     if telemetry is not None:
         telemetry.eval_s += time.perf_counter() - t_eval
 

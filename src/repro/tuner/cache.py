@@ -28,6 +28,10 @@ subsystem rather than a dict:
 - **Merging** (:meth:`CostCache.merge`): adopt another cache's entries,
   which is how :func:`repro.tuner.autotune` folds its process-pool
   workers' per-worker caches back into the caller's cache on join.
+- **Read-only views** (:class:`ReadOnlyCostCache`): a lookup-only
+  facade whose ``get_or_eval`` raises :class:`CacheMiss` instead of
+  evaluating, so a caller can try a fully-cached sweep without taking
+  whatever lock serializes cold evaluation.
 
 :class:`CacheStats` distinguishes *memory* hits (entries evaluated or
 merged in this process) from *disk* hits (entries loaded from a
@@ -49,7 +53,14 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable
 if TYPE_CHECKING:  # repro.tuner.store imports this module; avoid the cycle
     from repro.tuner.store import SqliteCostStore
 
-__all__ = ["CacheStats", "CostCache", "DEFAULT_CACHE", "costmodel_fingerprint"]
+__all__ = [
+    "CacheMiss",
+    "CacheStats",
+    "CostCache",
+    "DEFAULT_CACHE",
+    "ReadOnlyCostCache",
+    "costmodel_fingerprint",
+]
 
 #: On-disk format marker; bump the version on incompatible changes.
 _FORMAT = "repro-costcache"
@@ -151,10 +162,25 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.total_hits / self.lookups if self.lookups else 0.0
 
+    def add(self, other: "CacheStats") -> None:
+        """Add ``other``'s counts to these."""
+        self.hits += other.hits
+        self.disk_hits += other.disk_hits
+        self.misses += other.misses
+        self.pruned += other.pruned
+
     def __str__(self) -> str:
         disk = f" ({self.disk_hits} from disk)" if self.disk_hits else ""
         pruned = f" / {self.pruned} pruned" if self.pruned else ""
         return f"{self.total_hits} hits{disk} / {self.misses} misses{pruned}"
+
+
+class CacheMiss(LookupError):
+    """A :class:`ReadOnlyCostCache` was asked for a record it does not hold."""
+
+
+#: Sentinel for "no cached record" (``None`` is a valid record value).
+_MISSING = object()
 
 
 def _freeze(value: Any) -> Any:
@@ -183,13 +209,18 @@ class CostCache:
     racing the same cold key may therefore both evaluate it; the
     evaluation is deterministic in the key, so both arrive at the same
     record and last-write-wins is harmless (the service's ``_eval_lock``
-    serializes sweeps anyway).
+    serializes cold evaluation anyway).
     """
 
     _data: dict[Hashable, Any] = field(default_factory=dict)  # guarded-by: _lock
     stats: CacheStats = field(default_factory=CacheStats)
     #: Keys whose entries came off a persisted store (for stats only).
     _disk_keys: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
+    #: Keys whose records reached memory without passing through the
+    #: store (adopted, merged, or evaluated with no store attached).
+    #: Everything else in memory is on the store, so :meth:`__len__`
+    #: needs no per-key store query for it.
+    _unstored: set[Hashable] = field(default_factory=set)  # guarded-by: _lock
     #: Lazy on-disk backend; None for a purely in-memory (or JSON) cache.
     store: "SqliteCostStore | None" = None
     _lock: threading.Lock = field(
@@ -207,16 +238,21 @@ class CostCache:
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
-    def get_or_eval(self, key: Hashable, evaluate: Callable[[], Any]) -> Any:
-        """Return the cached value for ``key``, evaluating on first use."""
+    def _lookup(self, key: Hashable, stats: CacheStats | None) -> Any:
+        """The record for ``key`` from memory or the store, or ``_MISSING``.
+
+        A store fetch is published to the memory layer, so a stored
+        record costs one store query per process.  A hit is counted in
+        ``stats`` (when given) as a memory or a disk hit.
+        """
         with self._lock:
             if key in self._data:
-                value = self._data[key]
-                if key in self._disk_keys:
-                    self.stats.disk_hits += 1
-                else:
-                    self.stats.hits += 1
-                return value
+                if stats is not None:
+                    if key in self._disk_keys:
+                        stats.disk_hits += 1
+                    else:
+                        stats.hits += 1
+                return self._data[key]
             store = self.store
         if store is not None:
             value = store.get(key)
@@ -224,12 +260,23 @@ class CostCache:
                 with self._lock:
                     self._data[key] = value
                     self._disk_keys.add(key)
-                    self.stats.disk_hits += 1
+                    if stats is not None:
+                        stats.disk_hits += 1
                 return value
+        return _MISSING
+
+    def get_or_eval(self, key: Hashable, evaluate: Callable[[], Any]) -> Any:
+        """Return the cached value for ``key``, evaluating on first use."""
+        value = self._lookup(key, self.stats)
+        if value is not _MISSING:
+            return value
         value = evaluate()
         with self._lock:
             self.stats.misses += 1
             self._data[key] = value
+            store = self.store
+            if store is None:
+                self._unstored.add(key)
         if store is not None:
             # Write-through: a concurrent process sharing the store
             # (another sweep, the planner service) can reuse this
@@ -239,23 +286,21 @@ class CostCache:
 
     def peek(self, key: Hashable) -> Any:
         """Return the cached value without touching the hit counters."""
+        value = self._lookup(key, None)
+        if value is _MISSING:
+            raise KeyError(key)
+        return value
+
+    def add_stats(self, stats: CacheStats) -> None:
+        """Add counts made outside a lookup (pruned candidates, a view's)."""
         with self._lock:
-            if key in self._data:
-                return self._data[key]
-            store = self.store
-        if store is not None:
-            value = store.get(key)
-            if value is not None:
-                with self._lock:
-                    self._data[key] = value
-                    self._disk_keys.add(key)
-                return value
-        raise KeyError(key)
+            self.stats.add(stats)
 
     def adopt(self, key: Hashable, value: Any) -> None:
         """Insert an externally-evaluated entry (no stats recorded)."""
         with self._lock:
             self._data[key] = value
+            self._unstored.add(key)
 
     def _snapshot(self) -> tuple[dict[Hashable, Any], set[Hashable]]:
         """Consistent copy of the in-memory layer and its disk-key set."""
@@ -281,6 +326,8 @@ class CostCache:
                     self._data[key] = value
                     if key in disk_keys:
                         self._disk_keys.add(key)
+                    else:
+                        self._unstored.add(key)
                     added += 1
         return added
 
@@ -475,23 +522,28 @@ class CostCache:
         with self._lock:
             self._data.clear()
             self._disk_keys.clear()
+            self._unstored.clear()
             self.stats = CacheStats()
 
     def __len__(self) -> int:
-        """Distinct entries reachable through this cache (memory + store)."""
-        # Write-through puts evaluated entries in the store and fetched
-        # entries are disk keys by construction, so only adopted/merged
-        # entries can be memory-only; count those without double counting.
-        # The snapshot keeps the store queries (sqlite I/O) outside _lock.
+        """Distinct entries reachable through this cache (memory + store).
+
+        One ``COUNT(*)`` store query: write-through puts evaluated
+        entries in the store and fetched entries are disk keys by
+        construction, so only the ``_unstored`` keys (adopted, merged,
+        or evaluated before a store was attached) can be memory-only.  Those are probed once each; a key
+        found in the store leaves the set, so the probes never recur.
+        """
         with self._lock:
             store = self.store
             if store is None:
                 return len(self._data)
-            memory_only = [
-                key for key in self._data if key not in self._disk_keys
-            ]
-        extra = sum(1 for key in memory_only if key not in store)
-        return len(store) + extra
+            unstored = list(self._unstored)
+        stored = [key for key in unstored if key in store]
+        if stored:
+            with self._lock:
+                self._unstored.difference_update(stored)
+        return len(store) + len(unstored) - len(stored)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
@@ -499,6 +551,40 @@ class CostCache:
                 return True
             store = self.store
         return store is not None and key in store
+
+
+class ReadOnlyCostCache:
+    """Lookup-only view of a :class:`CostCache`.
+
+    ``get_or_eval`` serves records the cache already holds (in memory or
+    in its store) and raises :class:`CacheMiss` instead of evaluating,
+    so a sweep over the view either completes from cached records alone
+    or aborts on its first cold candidate.  The view never evaluates and
+    never writes the store; a store fetch still fills the shared memory
+    layer, exactly as a lookup through the cache would.
+
+    Hits and pruned candidates are counted in the view's own ``stats``;
+    :meth:`commit` adds them to the cache's counters.  An aborted
+    attempt is simply dropped, so only the retry that follows it is
+    counted.
+    """
+
+    def __init__(self, cache: CostCache) -> None:
+        self.cache = cache
+        self.stats = CacheStats()
+
+    def get_or_eval(self, key: Hashable, evaluate: Callable[[], Any]) -> Any:
+        value = self.cache._lookup(key, self.stats)
+        if value is _MISSING:
+            raise CacheMiss(key)
+        return value
+
+    def add_stats(self, stats: CacheStats) -> None:
+        self.stats.add(stats)
+
+    def commit(self) -> None:
+        """Fold this view's counters into the cache's."""
+        self.cache.add_stats(self.stats)
 
 
 #: Shared process-wide cache used when callers do not supply their own.

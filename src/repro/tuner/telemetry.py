@@ -10,7 +10,11 @@ gate regressions per phase instead of only end to end.
 
 Pass an instance to :func:`repro.tuner.autotune` (or
 :func:`repro.tuner.tune_grid`, which shares one across its points); the
-same object can be reused across several sweeps to aggregate.  In
+same object can be reused across several sweeps to aggregate, or each
+sweep can fill its own and :meth:`SweepTelemetry.merge` it into a
+running total.  The object itself is unsynchronised: a sweep writes it
+without a lock, so code that shares a total between threads (the
+planner service) merges finished sweeps into it under its own lock.  In
 parallel sweeps (``workers=N``) the build/simulate work happens inside
 pool workers, so only the parent-side phases (bounds, cache merge) are
 observed -- per-phase attribution is a serial-sweep tool.
@@ -67,6 +71,21 @@ class SweepTelemetry:
             "incremental_hits": self.incremental_hits,
             "incremental_fallbacks": self.incremental_fallbacks,
         }
+
+    def merge(self, other: "SweepTelemetry") -> None:
+        """Add ``other``'s wall times and counters into this instance."""
+        self.build_s += other.build_s
+        self.simulate_s += other.simulate_s
+        self.bound_s += other.bound_s
+        self.eval_s += other.eval_s
+        self.candidates += other.candidates
+        self.built += other.built
+        self.simulated += other.simulated
+        self.build_cache_hits += other.build_cache_hits
+        self.references_recorded += other.references_recorded
+        self.incremental_hits += other.incremental_hits
+        self.incremental_fallbacks += other.incremental_fallbacks
+        self.extra.update(other.extra)
 
     def reset(self) -> None:
         self.build_s = self.simulate_s = self.bound_s = self.eval_s = 0.0

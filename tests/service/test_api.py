@@ -126,6 +126,43 @@ class TestPlanEndpoint:
         assert status == 200 and len(body["plans"]) == 1
 
 
+class TestCoalescedErrors:
+    def test_leader_internal_error_is_500_for_every_follower(self, server):
+        """An internal (non-ValueError) leader failure keeps its class
+        across coalesced followers: 500 for all, never 400."""
+        service = server.service
+        n = 4
+
+        def failing_evaluate(query, workload):
+            key = query.dedup_key(workload)
+            for _ in range(2000):  # wait until every follower has joined
+                with service._inflight_lock:
+                    if service._inflight[key].waiters == n - 1:
+                        break
+                threading.Event().wait(0.005)
+            raise RuntimeError("internal failure")
+
+        service._evaluate = failing_evaluate
+        results = []
+        lock = threading.Lock()
+
+        def request():
+            code, body = _error(server, "POST", "/v1/plan", _BODY)
+            with lock:
+                results.append((code, body["error"]))
+
+        threads = [threading.Thread(target=request) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        assert results == [(500, "RuntimeError: internal failure")] * n
+        _, stats = _get(server, "/v1/stats")
+        assert stats["telemetry"]["plans_coalesced"] == 0
+        assert stats["telemetry"]["errors"] == n
+
+
 class TestSweepEndpoint:
     def test_sweep_launch_and_poll(self, server):
         status, started = _post(

@@ -1,6 +1,7 @@
 """PlannerService: parsing, dedup, warm/cold accounting, sweeps."""
 
 import threading
+import time
 
 import pytest
 
@@ -166,6 +167,51 @@ class TestPlan:
         assert len(calls) == 1
         # The failed flight is deregistered: a later request retries.
         assert not service._inflight
+
+
+    def test_followers_keep_the_leaders_error_class(self):
+        class InternalError(Exception):
+            pass
+
+        service = PlannerService()
+        leader_err = InternalError("broken cost model")
+        release = threading.Event()
+
+        def exploding_evaluate(query, workload):
+            release.wait(5)
+            raise leader_err
+
+        service._evaluate = exploding_evaluate
+        errors = []
+        lock = threading.Lock()
+
+        def request():
+            try:
+                service.plan(_BODY)
+            except Exception as err:
+                with lock:
+                    errors.append(err)
+
+        threads = [threading.Thread(target=request) for _ in range(3)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:  # leader registered, both followers waiting
+            with service._inflight_lock:
+                flights = list(service._inflight.values())
+            if flights and flights[0].waiters == 2:
+                break
+        release.set()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        assert len(errors) == 3
+        assert all(type(e) is InternalError for e in errors)
+        assert all(str(e) == "broken cost model" for e in errors)
+        # Each follower raised its own copy, chained to the leader's.
+        followers = [e for e in errors if e is not leader_err]
+        assert len(followers) == 2
+        assert all(e.__cause__ is leader_err for e in followers)
 
 
 class TestSweeps:

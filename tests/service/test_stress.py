@@ -16,12 +16,14 @@ relies on: close() joins sweep threads, rejects late sweeps, closes the
 store's connections, and is idempotent.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.service import PlannerService
-from repro.tuner import CostCache
+from repro.tuner import CostCache, SweepTelemetry
 
 _PLAN_BODIES = [
     {
@@ -150,6 +152,104 @@ class TestStressStorm:
         assert set(outcomes) <= {"cold", "warm", "coalesced"}
 
 
+def _wait_until(predicate, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+
+
+class TestSnapshotsUnderTraffic:
+    """Readers never see a half-published sweep record or telemetry."""
+
+    @pytest.fixture(autouse=True)
+    def fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _stop(self, stop, threads):
+        stop.set()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+
+    def _traffic(self, service, stop):
+        def plans():
+            while not stop.is_set():
+                for body in _PLAN_BODIES:
+                    service.plan(body)
+                    service.plan(dict(body, p=4))
+
+        threads = [threading.Thread(target=plans) for _ in range(2)]
+        for t in threads:
+            t.start()
+        return threads
+
+    def test_sweep_records_are_published_whole(self, service):
+        stop = threading.Event()
+        threads = self._traffic(service, stop)
+        seen = []
+        for _ in range(4):
+            service.start_sweep(_SWEEP_BODY)
+
+        def finished():
+            records = service.sweeps()
+            seen.extend(records)
+            return all(r["state"] != "running" for r in records)
+
+        _wait_until(finished)
+        self._stop(stop, threads)
+        for r in seen:
+            if r["state"] == "running":
+                assert r["candidates"] is None and r["elapsed_s"] is None
+            else:
+                assert r["state"] == "done", r["error"]
+                assert r["candidates"] > 0 and r["elapsed_s"] is not None
+        assert any(r["state"] == "running" for r in seen)
+
+    def test_sweep_telemetry_is_touched_only_under_its_lock(self, service):
+        """Sweeps and cold plans fill private telemetry and merge it under
+        the service's lock; stats() snapshots under the same lock, so a
+        snapshot never shows a sweep in progress."""
+        lock = service._telemetry_lock
+        unlocked = []
+
+        class Guarded(SweepTelemetry):
+            def __setattr__(self, name, value):
+                if not lock.locked():
+                    unlocked.append(name)
+                super().__setattr__(name, value)
+
+            def as_dict(self):
+                if not lock.locked():
+                    unlocked.append("as_dict")
+                return super().as_dict()
+
+        with lock:
+            service.sweep_telemetry = Guarded()
+        stop = threading.Event()
+        threads = self._traffic(service, stop)
+        for _ in range(4):
+            service.start_sweep(_SWEEP_BODY)
+        snapshots = []
+
+        def finished():
+            snapshots.append(service.stats()["sweep_telemetry"])
+            return all(r["state"] != "running" for r in service.sweeps())
+
+        _wait_until(finished)
+        self._stop(stop, threads)
+        snapshots.append(service.stats()["sweep_telemetry"])
+        assert unlocked == []
+        assert snapshots[-1]["simulated"] > 0
+        for snap in snapshots:
+            # eval_s covers build and simulate time once a sweep is merged.
+            assert snap["eval_s"] >= snap["build_s"] + snap["simulate_s"]
+
+
 class TestGracefulShutdown:
     def test_close_drains_sweeps_and_reports_save_count(self, tmp_path):
         path = tmp_path / "drain.sqlite"
@@ -164,6 +264,41 @@ class TestGracefulShutdown:
         (record,) = service.sweeps()
         assert record["state"] in ("done", "failed")
         assert record["state"] == "done"
+
+    def test_close_joins_sweeps_started_concurrently(self, tmp_path, monkeypatch):
+        """Sweeps accepted while other sweeps start and close() runs are
+        joined, not dropped: when close() returns, every accepted sweep
+        has finished.  A slow Thread.start widens the window in which a
+        sweep thread is registered but not yet started."""
+        real_start = threading.Thread.start
+
+        def slow_start(thread):
+            time.sleep(0.01)
+            real_start(thread)
+
+        service = PlannerService(CostCache.open(tmp_path / "race.sqlite"))
+        gate = threading.Barrier(4)
+
+        def starter():
+            gate.wait()
+            for _ in range(3):
+                try:
+                    service.start_sweep(_SWEEP_BODY)
+                except ValueError:  # rejected after close()
+                    return
+
+        threads = [threading.Thread(target=starter) for _ in range(4)]
+        for t in threads:
+            t.start()
+        monkeypatch.setattr(threading.Thread, "start", slow_start)
+        _wait_until(lambda: len(service.sweeps()) >= 4)
+        service.close()
+        states = [r["state"] for r in service.sweeps()]
+        monkeypatch.undo()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        assert "running" not in states
 
     def test_sweep_after_close_is_rejected(self, tmp_path):
         service = PlannerService(CostCache.open(tmp_path / "c.sqlite"))

@@ -1,12 +1,16 @@
 """Auto-tuner: candidate sweep, memory cap, memoizing cache, acceptance."""
 
+import gc
+import threading
+
 import pytest
 
 from repro.costmodel.memory import RecomputeStrategy
 from repro.experiments.common import METHODS, Workload, run_method
 from repro.schedules.registry import workload_cache_key
 from repro.tuner import CostCache, autotune, enumerate_candidates
-from repro.tuner.autotune import _candidate_key, _workload_key
+from repro.tuner.autotune import _candidate_key, _gc_paused, _workload_key
+from repro.tuner.cache import CacheMiss, ReadOnlyCostCache
 
 GIB = float(1 << 30)
 
@@ -289,9 +293,63 @@ class TestCache:
         assert "multiple" in cold[0].reason
         assert warm == cold
 
+    def test_read_only_view_completes_warm_or_raises(self, small_wl):
+        shared = CostCache()
+        with pytest.raises(CacheMiss):
+            autotune(small_wl, cache=ReadOnlyCostCache(shared))
+        assert shared.stats.lookups == 0
+        cold = autotune(small_wl, cache=shared)
+        view = ReadOnlyCostCache(shared)
+        assert autotune(small_wl, cache=view) == cold
+        assert view.stats.misses == 0 and view.stats.hits > 0
+        with pytest.raises(TypeError, match="serially"):
+            autotune(small_wl, cache=view, workers=2)
+
     def test_key_distinguishes_caps(self, small_wl):
         c1 = enumerate_candidates(small_wl)[0]
         assert _candidate_key(small_wl, c1, 1.0) != _candidate_key(small_wl, c1, 2.0)
+
+
+class TestGcPause:
+    def test_overlapping_pauses_in_two_threads(self):
+        """GC stays off until the last of two overlapping pauses ends,
+        whichever thread started first."""
+        assert gc.isenabled()
+        first_in = threading.Event()
+        first_out = threading.Event()
+        seen = []
+
+        def first():
+            with _gc_paused():
+                first_in.set()
+                first_out.wait(5)
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        first_in.wait(5)
+        with _gc_paused():
+            first_out.set()
+            thread.join(5)
+            seen.append(gc.isenabled())  # the first pause has ended
+        seen.append(gc.isenabled())
+        assert seen == [False, True]
+
+    def test_leaves_gc_disabled_when_it_was_disabled(self):
+        gc.disable()
+        try:
+            with _gc_paused():
+                with _gc_paused():
+                    pass
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_reenables_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with _gc_paused():
+                raise RuntimeError("boom")
+        assert gc.isenabled()
 
 
 class TestFillBudgetParity:

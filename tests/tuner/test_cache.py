@@ -7,6 +7,8 @@ import threading
 import pytest
 
 from repro.tuner import CacheStats, CostCache, costmodel_fingerprint
+from repro.tuner.cache import CacheMiss, ReadOnlyCostCache
+from repro.tuner.store import SqliteCostStore
 
 
 def _key(i):
@@ -267,3 +269,37 @@ class TestStats:
         assert len(loaded) == 0
         loaded.get_or_eval(_key(0), lambda: _record(0))
         assert loaded.stats.misses == 1 and loaded.stats.disk_hits == 0
+
+
+class TestReadOnlyView:
+    def test_hit_is_served_and_miss_raises_without_evaluating(self):
+        cache = CostCache()
+        cache.get_or_eval(_key(0), lambda: _record(0))
+        view = ReadOnlyCostCache(cache)
+        assert view.get_or_eval(_key(0), lambda: pytest.fail("cached")) == _record(0)
+        with pytest.raises(CacheMiss):
+            view.get_or_eval(_key(1), lambda: pytest.fail("never evaluates"))
+        assert _key(1) not in cache
+
+    def test_counts_stay_in_the_view_until_commit(self):
+        cache = CostCache()
+        cache.get_or_eval(_key(0), lambda: _record(0))
+        view = ReadOnlyCostCache(cache)
+        view.get_or_eval(_key(0), lambda: None)
+        view.add_stats(CacheStats(pruned=3))
+        assert (cache.stats.hits, cache.stats.pruned) == (0, 0)
+        view.commit()
+        assert (cache.stats.hits, cache.stats.pruned) == (1, 3)
+        assert cache.stats.misses == 1
+
+    def test_store_fetch_fills_the_shared_memory_layer(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        SqliteCostStore(path).put(_key(0), _record(0))
+        cache = CostCache.open(path)
+        view = ReadOnlyCostCache(cache)
+        assert view.get_or_eval(_key(0), lambda: None) == _record(0)
+        assert view.stats.disk_hits == 1
+        # The fetched record now serves the cache itself from memory.
+        cache.store = None
+        assert cache.get_or_eval(_key(0), lambda: pytest.fail("in memory")) == _record(0)
+        assert cache.stats.disk_hits == 1

@@ -104,6 +104,22 @@ class TestDeterminism:
         assert skipped > 0
         assert shared.stats.pruned == 2 * skipped
 
+    def test_prefilled_cache_returns_fresh_cache_rows(self, wl, exhaustive, pruned):
+        """Pruning reads the bound, never the cache: over a cache that an
+        exhaustive sweep filled with every record -- including those of
+        candidates a pruned sweep skips -- the rows equal a fresh-cache
+        sweep's, pruned rows included, and no record is re-evaluated."""
+        fresh, _ = pruned
+        _, full_cache = exhaustive
+        prefilled = CostCache()
+        prefilled.merge(full_cache)
+        rows = autotune(wl, cache=prefilled)
+        assert rows == fresh
+        assert prefilled.stats.misses == 0
+        assert prefilled.stats.pruned == sum(
+            1 for r in fresh if (r.reason or "").startswith("pruned")
+        )
+
     def test_parallel_matches_serial(self, wl, pruned):
         serial, serial_cache = pruned
         cache = CostCache()

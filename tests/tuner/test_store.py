@@ -180,6 +180,42 @@ class TestCacheIntegration:
         cache.adopt(_key(2), _record(2))  # memory only
         assert len(cache) == 3
 
+    def test_len_is_one_store_query_after_cold_evaluations(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sqlite"
+        cache = CostCache.open(path)
+        for i in range(50):
+            cache.get_or_eval(_key(i), lambda i=i: _record(i))
+        queries = []
+        for name in ("get", "__contains__", "__len__", "items"):
+            original = getattr(SqliteCostStore, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                queries.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(SqliteCostStore, name, counted)
+        assert len(cache) == 50
+        assert queries == ["__len__"]
+
+    def test_len_probes_an_adopted_key_only_until_found(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.sqlite"
+        cache = CostCache.open(path)
+        cache.adopt(_key(0), _record(0))
+        probes = []
+        original = SqliteCostStore.__contains__
+
+        def counted(self, key):
+            probes.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(SqliteCostStore, "__contains__", counted)
+        assert len(cache) == 1  # memory only: probed, not found
+        assert probes == [_key(0)]
+        cache.save(path)  # now it is on the store too
+        assert len(cache) == 1  # probed again, found, no double count
+        assert len(cache) == 1  # known to be stored: no probe
+        assert probes == [_key(0), _key(0)]
+
     def test_load_sqlite_file_with_json_suffix_is_pointed_at(self, tmp_path):
         path = tmp_path / "mislabeled.json"
         # Write a real sqlite store under a .json name.
