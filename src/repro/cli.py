@@ -152,7 +152,7 @@ import ast
 import os
 import sys
 import time
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.analysis.report import format_table
 from repro.analysis.tuner_view import format_grid_table, format_plan_table
@@ -183,6 +183,9 @@ from repro.workloads import (
     parse_seq_lens,
     parse_token_budget,
 )
+
+if TYPE_CHECKING:
+    from repro.schedules.analysis.framework import PassRegistry
 
 __all__ = ["main"]
 
@@ -300,6 +303,37 @@ def _add_workload_args(parser: argparse.ArgumentParser, grid: bool = False) -> N
         metavar="M",
         help="micro-batch budget per iteration (default: 2 x pipeline size"
         + ("; incompatible with a workload grid)" if grid else ")"),
+    )
+
+
+def _add_lint_args(parser: argparse.ArgumentParser, kind: str) -> None:
+    """The flags ``lint`` and ``lint-code`` share (see :func:`_run_lint_verb`)."""
+    parser.add_argument(
+        "--passes",
+        default=None,
+        metavar="A,B,...",
+        help=f"run only these {kind} passes (default: all registered)",
+    )
+    parser.add_argument(
+        "--list-passes",
+        action="store_true",
+        help=f"list the registered {kind} passes and exit",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="promote warnings to failures (exit 1 on any finding)",
+    )
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help="emit the machine-readable report instead of tables",
+    )
+    parser.add_argument(
+        "--out",
+        default=None,
+        metavar="PATH",
+        help="also write the report to PATH (CI uploads it on failure)",
     )
 
 
@@ -485,18 +519,25 @@ def _print_plan_report(
     return bool(feasible)
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
+def _run_lint_verb(
+    args: argparse.Namespace,
+    registry: PassRegistry,
+    analyse: Callable[[list[str] | None], tuple[bool, dict[str, Any], str]],
+    what: str,
+) -> int:
+    """The body ``repro lint`` and ``repro lint-code`` share.
+
+    Lists ``registry`` for ``--list-passes``; otherwise parses
+    ``--passes`` (rejecting an empty selection), calls ``analyse(passes)``
+    for ``(ok, json_payload, text)``, prints or writes the report per
+    ``--json``/``--out`` and exits 1 when the gate failed.
+    """
     import json as _json
 
-    from repro.lint import lint_schedules
-    from repro.schedules.analysis import available_passes
-
     if args.list_passes:
-        from repro.schedules.analysis import get_pass
-
         rows = []
-        for name in available_passes():
-            ap = get_pass(name)
+        for name in registry.names():
+            ap = registry.get(name)
             rows.append(
                 {
                     "pass": name,
@@ -508,87 +549,63 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(format_table(rows))
         return 0
 
-    schedules = None
-    if args.schedules:
-        schedules = [s.strip() for s in args.schedules.split(",") if s.strip()]
     passes = None
-    if args.passes:
+    if args.passes is not None:
         passes = [s.strip() for s in args.passes.split(",") if s.strip()]
+        if not passes:
+            print(f"error: --passes {args.passes!r} names no pass", file=sys.stderr)
+            return 1
 
-    report = lint_schedules(
-        schedules=schedules,
-        pp_sizes=args.pipeline_size or (2, 4),
-        num_micro_batches=args.num_micro_batches,
-        model=args.model,
-        gpu=args.gpu,
-        seq_len=args.seq_len if args.seq_len is not None else 8192,
-        passes=passes,
-        strict=args.strict,
-    )
-    text = (
-        _json.dumps(report.to_json_dict(), indent=2)
-        if args.json
-        else report.format(verbose=args.verbose)
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"lint report written to {args.out}")
-        if not args.json:
-            print(text)
-    else:
-        print(text)
-    return 0 if report.ok else 1
-
-
-def _cmd_lint_code(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.devtools.concurrency import (
-        available_code_passes,
-        get_code_pass,
-        lint_code,
-        report_passes_gate,
-    )
-
-    if args.list_passes:
-        rows = []
-        for name in available_code_passes():
-            cp = get_code_pass(name)
-            rows.append(
-                {
-                    "pass": name,
-                    "category": cp.category,
-                    "requires": ", ".join(cp.requires) or "-",
-                    "description": cp.description,
-                }
-            )
-        print(format_table(rows))
-        return 0
-
-    passes = None
-    if args.passes:
-        passes = [s.strip() for s in args.passes.split(",") if s.strip()]
-    paths = args.paths or None
-
-    report, _model = lint_code(paths, passes=passes)
-    ok = report_passes_gate(report, strict=args.strict)
+    ok, payload, text = analyse(passes)
     if args.json:
-        payload = report.to_json_dict()
-        payload["strict"] = args.strict
-        payload["ok"] = ok
         text = _json.dumps(payload, indent=2)
-    else:
-        text = report.format()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"code lint report written to {args.out}")
+        print(f"{what} report written to {args.out}")
         if not args.json:
             print(text)
     else:
         print(text)
     return 0 if ok else 1
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.lint import lint_schedules
+    from repro.schedules.analysis.framework import SCHEDULE_PASSES
+
+    schedules = None
+    if args.schedules:
+        schedules = [s.strip() for s in args.schedules.split(",") if s.strip()]
+
+    def analyse(passes: list[str] | None) -> tuple[bool, dict[str, Any], str]:
+        report = lint_schedules(
+            schedules=schedules,
+            pp_sizes=args.pipeline_size or (2, 4),
+            num_micro_batches=args.num_micro_batches,
+            model=args.model,
+            gpu=args.gpu,
+            seq_len=args.seq_len if args.seq_len is not None else 8192,
+            passes=passes,
+            strict=args.strict,
+        )
+        return report.ok, report.to_json_dict(), report.format(verbose=args.verbose)
+
+    return _run_lint_verb(args, SCHEDULE_PASSES, analyse, "lint")
+
+
+def _cmd_lint_code(args: argparse.Namespace) -> int:
+    from repro.devtools.concurrency import CODE_PASSES, lint_code
+
+    def analyse(passes: list[str] | None) -> tuple[bool, dict[str, Any], str]:
+        report, _model = lint_code(args.paths or None, passes=passes)
+        ok = report.passes(args.strict)
+        payload = report.to_json_dict()
+        payload["strict"] = args.strict
+        payload["ok"] = ok
+        return ok, payload, report.format()
+
+    return _run_lint_verb(args, CODE_PASSES, analyse, "code lint")
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
@@ -1163,37 +1180,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sequence length, k suffix ok (default: 8k)",
     )
     p_lint.add_argument(
-        "--passes",
-        default=None,
-        metavar="A,B,...",
-        help="run only these analysis passes (default: all registered)",
-    )
-    p_lint.add_argument(
-        "--list-passes",
-        action="store_true",
-        help="list the registered analysis passes and exit",
-    )
-    p_lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="promote warnings to failures (exit 1 on any finding)",
-    )
-    p_lint.add_argument(
         "--verbose",
         action="store_true",
         help="show warning/info findings in the table, not just errors",
     )
-    p_lint.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable lint report instead of tables",
-    )
-    p_lint.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the report to PATH (CI uploads it on failure)",
-    )
+    _add_lint_args(p_lint, "analysis")
     p_lint.set_defaults(fn=_cmd_lint)
 
     p_lint_code = sub.add_parser(
@@ -1208,33 +1199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files/directories to sweep (default: src/repro/service "
         "and src/repro/tuner)",
     )
-    p_lint_code.add_argument(
-        "--passes",
-        default=None,
-        metavar="A,B,...",
-        help="run only these code passes (default: all registered)",
-    )
-    p_lint_code.add_argument(
-        "--list-passes",
-        action="store_true",
-        help="list the registered code passes and exit",
-    )
-    p_lint_code.add_argument(
-        "--strict",
-        action="store_true",
-        help="promote warnings to failures (exit 1 on any finding)",
-    )
-    p_lint_code.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report instead of the table",
-    )
-    p_lint_code.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="also write the report to PATH (CI uploads it on failure)",
-    )
+    _add_lint_args(p_lint_code, "code")
     p_lint_code.set_defaults(fn=_cmd_lint_code)
 
     p_tune = sub.add_parser(

@@ -1,26 +1,18 @@
 """Lock-discipline static analyzer for the repo's threaded packages.
 
-The concurrency sibling of :mod:`repro.schedules.analysis`: an AST
-model of the repo's own sources (:mod:`.model`), a registered-pass
-framework (:mod:`.framework`), four built-in passes (``guarded-by``,
-``lock-order``, ``blocking-under-lock``, ``thread-hygiene``), a runtime
-lock-order verifier (:mod:`.runtime`) and the ``repro lint-code``
-driver (:mod:`.driver`).
+The concurrency sibling of :mod:`repro.schedules.analysis`, built on
+the same pass framework (:mod:`repro.schedules.analysis.framework`): an
+AST model of the repo's own sources (:mod:`.model`), four built-in
+passes (``guarded-by``, ``lock-order``, ``blocking-under-lock``,
+``thread-hygiene``), a runtime lock-order verifier (:mod:`.runtime`)
+and the ``repro lint-code`` driver with the code-pass registry
+(:mod:`.driver`).
 """
 
 from repro.devtools.concurrency.driver import (
+    CODE_PASSES,
     DEFAULT_LINT_PATHS,
     lint_code,
-    report_passes_gate,
-)
-from repro.devtools.concurrency.framework import (
-    CodeAnalysisReport,
-    CodeIssue,
-    CodePass,
-    Severity,
-    available_code_passes,
-    format_code_issue_table,
-    get_code_pass,
     register_code_pass,
     run_code_analysis,
 )
@@ -36,18 +28,14 @@ from repro.devtools.concurrency.runtime import (
     instrument,
     verify_lock_order,
 )
+from repro.schedules.analysis.framework import CodeIssue, Severity
 
 __all__ = [
+    "CODE_PASSES",
     "DEFAULT_LINT_PATHS",
     "lint_code",
-    "report_passes_gate",
-    "CodeAnalysisReport",
     "CodeIssue",
-    "CodePass",
     "Severity",
-    "available_code_passes",
-    "format_code_issue_table",
-    "get_code_pass",
     "register_code_pass",
     "run_code_analysis",
     "ProjectModel",

@@ -15,12 +15,9 @@ either the blocking line or the lock's ``with`` line::
 
 from __future__ import annotations
 
-from repro.devtools.concurrency.framework import (
-    CodeIssue,
-    Severity,
-    register_code_pass,
-)
+from repro.devtools.concurrency.driver import register_code_pass
 from repro.devtools.concurrency.model import ProjectModel
+from repro.schedules.analysis.framework import CodeIssue, Severity
 
 PASS_NAME = "blocking-under-lock"
 

@@ -3,9 +3,11 @@
 :func:`lint_code` is what ``repro lint-code`` and CI call: build the
 project model over the requested paths (defaulting to the threaded
 packages, ``src/repro/service`` and ``src/repro/tuner``), run every
-registered pass (or a chosen subset), and return the report.  ``ok``
-semantics mirror ``repro lint``: ERRORs always fail, ``strict=True``
-additionally fails on WARNINGs.
+registered code pass (or a chosen subset), and return the report.  The
+gate is :meth:`AnalysisReport.passes
+<repro.schedules.analysis.framework.AnalysisReport.passes>`, shared with
+``repro lint``: ERRORs always fail, ``strict=True`` additionally fails
+on WARNINGs.
 """
 
 from __future__ import annotations
@@ -13,13 +15,33 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from repro.devtools.concurrency.framework import (
-    CodeAnalysisReport,
-    run_code_analysis,
-)
 from repro.devtools.concurrency.model import ProjectModel, build_model
+from repro.schedules.analysis.framework import (
+    AnalysisPass,
+    AnalysisReport,
+    CodeIssue,
+    PassRegistry,
+)
 
-__all__ = ["DEFAULT_LINT_PATHS", "lint_code", "report_passes_gate"]
+__all__ = [
+    "CODE_PASSES",
+    "DEFAULT_LINT_PATHS",
+    "lint_code",
+    "register_code_pass",
+    "run_code_analysis",
+]
+
+#: The code passes; each body takes the :class:`ProjectModel`.
+CODE_PASSES: PassRegistry[CodeIssue] = PassRegistry(
+    "code analysis pass",
+    (
+        "repro.devtools.concurrency.guarded",
+        "repro.devtools.concurrency.lockorder",
+        "repro.devtools.concurrency.blocking",
+        "repro.devtools.concurrency.hygiene",
+    ),
+)
+register_code_pass = CODE_PASSES.register
 
 #: Packages swept by default: everything that runs under the threaded
 #: HTTP service.  Extend with ``--paths`` as more of ``src/`` goes
@@ -30,12 +52,25 @@ DEFAULT_LINT_PATHS = (
 )
 
 
+def run_code_analysis(
+    model: ProjectModel,
+    passes: Sequence[str | AnalysisPass[CodeIssue]] | None = None,
+) -> AnalysisReport[CodeIssue]:
+    """Run the code passes over ``model`` (every registered pass when
+    ``passes`` is ``None``) in dependency order."""
+    files = [m.path for m in model.modules]
+    report: AnalysisReport[CodeIssue] = AnalysisReport(
+        f"{len(files)} file(s)", {"files": files}
+    )
+    return CODE_PASSES.run(model, report, passes)
+
+
 def lint_code(
     paths: Sequence[str | os.PathLike] | None = None,
     passes: Sequence[str] | None = None,
     *,
     root: str | os.PathLike | None = None,
-) -> tuple[CodeAnalysisReport, ProjectModel]:
+) -> tuple[AnalysisReport[CodeIssue], ProjectModel]:
     """Sweep ``paths`` with the concurrency passes.
 
     ``paths`` defaults to :data:`DEFAULT_LINT_PATHS` resolved against
@@ -47,15 +82,4 @@ def lint_code(
         base = os.fspath(root) if root is not None else os.getcwd()
         paths = [os.path.join(base, p) for p in DEFAULT_LINT_PATHS]
     model = build_model(paths)
-    report = run_code_analysis(model, passes=passes)
-    return report, model
-
-
-def report_passes_gate(report: CodeAnalysisReport, *, strict: bool = False) -> bool:
-    """Gate semantics shared with ``repro lint``: errors always fail,
-    ``strict`` promotes warnings to failures."""
-    if not report.ok:
-        return False
-    if strict and report.warnings:
-        return False
-    return True
+    return run_code_analysis(model, passes=passes), model

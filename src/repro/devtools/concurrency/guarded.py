@@ -16,12 +16,9 @@ not yet / no longer shared), as is any line carrying
 
 from __future__ import annotations
 
-from repro.devtools.concurrency.framework import (
-    CodeIssue,
-    Severity,
-    register_code_pass,
-)
+from repro.devtools.concurrency.driver import register_code_pass
 from repro.devtools.concurrency.model import _EXEMPT_METHODS, ProjectModel
+from repro.schedules.analysis.framework import CodeIssue, Severity
 
 PASS_NAME = "guarded-by"
 

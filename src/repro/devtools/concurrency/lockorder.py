@@ -14,12 +14,9 @@ and is reported separately; RLocks are exempt from self-edges.
 
 from __future__ import annotations
 
-from repro.devtools.concurrency.framework import (
-    CodeIssue,
-    Severity,
-    register_code_pass,
-)
+from repro.devtools.concurrency.driver import register_code_pass
 from repro.devtools.concurrency.model import ProjectModel
+from repro.schedules.analysis.framework import CodeIssue, Severity
 
 PASS_NAME = "lock-order"
 

@@ -103,10 +103,10 @@ class LintReport:
 
     @property
     def ok(self) -> bool:
-        """Gate status: errors always fail; warnings only under strict."""
-        if self.total_errors:
-            return False
-        return not (self.strict and self.total_warnings)
+        """Every analyzed cell passes the gate (warnings fail under strict)."""
+        return all(
+            c.report.passes(self.strict) for c in self.cells if c.report is not None
+        )
 
     def format(self, verbose: bool = False) -> str:
         lines = [f"lint sweep: {self.workload_label}"]
@@ -126,9 +126,7 @@ class LintReport:
             if not verbose and self.strict:
                 shown = c.report.issues
             if shown:
-                table = format_issue_table(
-                    sorted(shown, key=lambda i: (-i.severity.rank,))
-                )
+                table = format_issue_table(sorted(shown, key=lambda i: i.sort_key()))
                 lines.extend("    " + ln for ln in table.splitlines())
         gate = "strict (warnings fail)" if self.strict else "errors fail"
         lines.append(

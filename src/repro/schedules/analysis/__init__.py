@@ -1,6 +1,7 @@
 """Static analysis over the schedule IR: pass framework + dataflow passes.
 
-See :mod:`repro.schedules.analysis.framework` for the pass-author API.
+See :mod:`repro.schedules.analysis.framework` for the pass-author API,
+shared with the code lint (:mod:`repro.devtools.concurrency`).
 Built-in passes (also runnable via ``repro lint``):
 
 ========================  ===========  =========================================

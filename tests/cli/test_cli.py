@@ -17,6 +17,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _src_env():
+    """Environment for a child interpreter that imports the src layout,
+    even when the suite runs un-installed via pyproject's pythonpath."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 class TestList:
     def test_lists_every_registered_schedule(self, capsys):
         code, out, _ = run(capsys, "list")
@@ -26,21 +37,29 @@ class TestList:
 
     def test_module_entry_point(self):
         """`python -m repro list` must keep working (CI runs it)."""
-        # The subprocess needs the src layout on its path even when the
-        # suite runs un-installed via pyproject's pythonpath setting.
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "list"],
             capture_output=True,
             text=True,
-            env=env,
+            env=_src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "helix" in proc.stdout
+
+    def test_cli_import_leaves_networkx_out(self):
+        """networkx is not a dependency: the CLI must not import it."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; print('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDescribe:
@@ -560,6 +579,16 @@ class TestLintCode:
         import json
 
         assert json.loads(target.read_text())["ok"] is True
+
+    def test_empty_pass_selection_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "lint-code",
+            "--paths", os.path.join(self._REPO, "src", "repro", "tuner"),
+            "--passes", ",",
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "passes run" not in out
 
     def test_pass_subset_selection(self, capsys):
         code, out, _ = run(

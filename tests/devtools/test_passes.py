@@ -6,26 +6,16 @@ under lock, untracked daemon thread) and asserts the *named* pass --
 and only a pass of matching severity -- reports it, while the baseline
 comes back clean.  The final class sweeps the repo's real threaded
 packages and requires zero findings, which is the same gate CI's
-``code-lint`` job enforces.
+``static-analysis`` job enforces.
 """
 
 import os
 import textwrap
 
-import pytest
-
 from repro.devtools.concurrency import (
-    CodeIssue,
     Severity,
     lint_code,
-    report_passes_gate,
     run_code_analysis,
-)
-from repro.devtools.concurrency.framework import (
-    CodeAnalysisReport,
-    CodePass,
-    format_code_issue_table,
-    register_code_pass,
 )
 
 from tests.devtools.test_model import project
@@ -268,7 +258,7 @@ class TestBlockingUnderLockMutation:
         assert issue.symbol == "Runner._lock"
         # WARNINGs do not fail plain lint but do fail --strict.
         assert report.ok
-        assert not report_passes_gate(report, strict=True)
+        assert not report.passes(strict=True)
 
     def test_allow_on_with_line_suppresses_whole_block(self):
         report = run(
@@ -402,56 +392,6 @@ class TestThreadHygieneMutation:
         assert not findings(report, "thread-hygiene")
 
 
-class TestFramework:
-    def test_duplicate_registration_rejected(self):
-        register_code_pass("test-dup-pass", description="x")(lambda m: [])
-        with pytest.raises(ValueError, match="already registered"):
-            register_code_pass("test-dup-pass")(lambda m: [])
-
-    def test_requires_skips_after_prereq_errors(self):
-        model = project("x = 1")
-        broken = CodePass(
-            name="prereq",
-            fn=lambda m: [CodeIssue("prereq", "boom")],
-        )
-        gated = CodePass(name="dependent", fn=lambda m: [], requires=("prereq",))
-        report = run_code_analysis(model, passes=[broken, gated])
-        assert report.passes_run == ("prereq",)
-        assert "dependent" in report.skipped
-
-    def test_report_json_round_trips(self):
-        report = CodeAnalysisReport(
-            files=("a.py",),
-            issues=[
-                CodeIssue(
-                    "guarded-by",
-                    "msg",
-                    file="a.py",
-                    line=3,
-                    function="a.S.f",
-                    symbol="S.x",
-                )
-            ],
-            passes_run=("guarded-by",),
-        )
-        payload = report.to_json_dict()
-        assert payload["ok"] is False
-        assert payload["issues"][0]["pass"] == "guarded-by"
-        assert payload["issues"][0]["line"] == 3
-        table = format_code_issue_table(report.issues)
-        assert "guarded-by" in table and "a.py:3" in table
-
-    def test_gate_semantics(self):
-        warn_only = CodeAnalysisReport(
-            issues=[CodeIssue("p", "w", severity=Severity.WARNING)]
-        )
-        assert report_passes_gate(warn_only)
-        assert not report_passes_gate(warn_only, strict=True)
-        err = CodeAnalysisReport(issues=[CodeIssue("p", "e")])
-        assert not report_passes_gate(err)
-        assert not report_passes_gate(err, strict=True)
-
-
 class TestCleanTree:
     def test_repo_threaded_packages_have_zero_findings(self):
         """The acceptance gate: the real service/tuner sweep is clean."""
@@ -460,7 +400,7 @@ class TestCleanTree:
 
     def test_sweep_covers_the_threaded_modules(self):
         report, model = lint_code(root=_REPO_ROOT)
-        files = {os.path.basename(p) for p in report.files}
+        files = {os.path.basename(p) for p in report.subject["files"]}
         assert {"planner.py", "telemetry.py", "cache.py", "store.py"} <= files
         # The known lock hierarchy must be visible to the model.
         assert "PlannerService" in model.classes

@@ -146,6 +146,12 @@ class TestLintCli:
         )
         assert code == 0
 
+    def test_empty_pass_selection_rejected(self, capsys):
+        code, out, err = run(capsys, "lint", "--passes", ",")
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "PASS" not in out
+
     def test_unknown_schedule_errors(self, capsys):
         code, _, err = run(capsys, "lint", "--schedules", "no-such-schedule")
         assert code != 0
