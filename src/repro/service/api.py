@@ -51,6 +51,10 @@ class PlannerAPIHandler(BaseHTTPRequestHandler):
 
     server: PlannerServer
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in separate writes; with Nagle's
+    #: algorithm on, a keep-alive client's delayed ACK of the first
+    #: holds back the second (~40 ms per response).
+    disable_nagle_algorithm = True
     #: Routes as ``(method, path) -> handler-method name``.
     ROUTES = {
         ("GET", "/v1/healthz"): "_handle_healthz",

@@ -23,13 +23,12 @@ Three properties make it a service rather than a loop around
 - **Lock-free warm reads, serialized cold evaluation.**  Every plan
   first runs :func:`~repro.tuner.autotune` over a read-only view of the
   shared cache (:class:`~repro.tuner.cache.ReadOnlyCostCache`), with no
-  lock, no process pool, a private IR cache and no shared telemetry.
+  lock, no process pool and no shared telemetry.
   A query whose candidates are all cached is answered right there, so
   warm answers never queue behind cold work.  The view aborts on the
   first cold candidate, and only then does the request take
-  ``_eval_lock``: one cold evaluation runs at a time, because the
-  tuner's IR cache and telemetry are single-writer structures and a
-  cold sweep is CPU-bound anyway -- concurrency buys throughput through
+  ``_eval_lock``: one cold evaluation runs at a time, because a cold
+  sweep is CPU-bound anyway -- concurrency buys throughput through
   the shared cache, not through parallel sweeps.  ``workers=N`` still
   parallelises *within* a cold sweep.
 - **Background sweeps.**  :meth:`start_sweep` pre-fills a workload
@@ -60,7 +59,6 @@ from repro.schedules.registry import workload_cache_key
 from repro.tuner.autotune import PlanResult, autotune
 from repro.tuner.cache import CacheMiss, CostCache, ReadOnlyCostCache
 from repro.tuner.grid import tune_grid
-from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.service.telemetry import ServiceTelemetry
 from repro.workloads import (
@@ -323,7 +321,6 @@ class PlannerService:
         #: evaluation fills a private instance and merges it here.
         self.sweep_telemetry = SweepTelemetry()  # guarded-by: _telemetry_lock
         self.started_at = time.time()
-        self._ir_cache = ScheduleIRCache()
         self._eval_lock = threading.Lock()
         self._inflight_lock = threading.Lock()
         self._inflight: dict[tuple, _Inflight] = {}  # guarded-by: _inflight_lock
@@ -365,7 +362,6 @@ class PlannerService:
                 plans = sweep(
                     cache=self.cache,
                     workers=self.workers,
-                    ir_cache=self._ir_cache,
                     telemetry=telemetry,
                 )
                 cold = self.cache.stats.misses > misses_before
@@ -552,7 +548,6 @@ class PlannerService:
                                     option_grids=None if options else {},
                                     cache=self.cache,
                                     workers=self.workers,
-                                    ir_cache=self._ir_cache,
                                     telemetry=telemetry,
                                 )
                             )

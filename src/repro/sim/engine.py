@@ -33,12 +33,18 @@ per-stage state lives in parallel scalar lists.  ``record_trace=False``
 skips :class:`~repro.sim.trace.Interval` allocation entirely -- metrics
 (makespan, busy/blocked time, memory peaks, bytes moved) are tracked
 directly and are identical with tracing on or off.
+
+:func:`_run_events` is the only event loop.  Besides running from time
+zero it can start from a restored :class:`_State` and can append a
+checkpoint (a copy of that state) every N processed events; the
+incremental re-simulator (:mod:`repro.sim.incremental`) uses both to
+replay a sibling schedule from the shared prefix of a reference run.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import count
+from dataclasses import dataclass
 
 from repro.cluster.topology import ClusterSpec
 from repro.schedules.ir import (
@@ -82,6 +88,9 @@ def compile_programs(
     schedule against its reference's table so that equal tag strings map
     to equal integers in both compiled forms, making opcode tuples
     directly comparable.  New tags extend the table in place.
+
+    The last element of every tuple is the source instruction (labels
+    for traces and deadlock reports).
     """
     p2p_time = cluster.p2p_time
     p2p_cache: dict[float, float] = {}
@@ -193,213 +202,315 @@ class PipelineSimulator:
             raise ValueError("static_memory_bytes must have one entry per stage")
         self.static = [float(x) for x in static_memory_bytes]
 
-    # -- compilation ---------------------------------------------------------
-
-    def _compile(self) -> tuple[list[list[tuple]], list[str]]:
-        """Lower each program to primitive opcode tuples.
-
-        Delegates to the module-level :func:`compile_programs` (shared
-        with the incremental re-simulator, which needs a common tag
-        interning table across sibling compilations).
-        """
-        return compile_programs(self.schedule, self.cluster)
-
-    # -- public API ----------------------------------------------------------
-
     def run(self) -> SimResult:
-        p = self.schedule.num_stages
-        half = self.duplex == "half"
-        programs, _ = self._compile()
-        sizes = [len(ops) for ops in programs]
+        programs, _ = compile_programs(self.schedule, self.cluster)
+        return _run_events(
+            self.schedule.name,
+            programs,
+            self.static,
+            self.duplex == "half",
+            trace=Trace() if self.record_trace else None,
+        )
 
-        # Per-stage scalar state in parallel lists (cheaper than
-        # attribute access on a state object in the inner loop).
-        pc = [0] * p
-        computing = [False] * p
-        blocked_tag: list[int | None] = [None] * p
-        blocked_since = [0.0] * p
-        busy_time = [0.0] * p
-        comm_blocked = [0.0] * p
-        current_mem = list(self.static)
-        peak_mem = list(self.static)
-        bytes_sent = [0.0] * p
-        bytes_received = [0.0] * p
-        comm_free = [0.0] * p  # half-duplex engine
-        send_free = [0.0] * p  # full-duplex engines
-        recv_free = [0.0] * p
 
-        events: list[tuple] = []  # (t, seq, opcode, ...)
-        eseq = count()
-        pending: list[tuple] = []  # (ready_time, seq, send_op)
-        tseq = count()
-        arrived: set[int] = set()
-        # getattr: tests construct half-initialised simulators via
-        # __new__ to poke the deadlock path; default to tracing.
-        trace = Trace() if getattr(self, "record_trace", True) else None
-        heappush, heappop = heapq.heappush, heapq.heappop
+@dataclass
+class _State:
+    """The event core between two events: everything the loop reads and writes.
 
-        def start_transfers(now: float) -> None:
-            # Start every pending transfer whose engines are free at
-            # ``now``.  A single pass in (ready_time, issue order)
-            # suffices: starting a transfer only makes engines busier,
-            # never frees one.
-            still: list[tuple] = []
-            while pending:
-                item = heappop(pending)
-                if item[0] <= now:
-                    op = item[2]
-                    src, dst = op[2], op[3]
+    Per-stage values are parallel lists indexed by stage.  ``events`` is
+    the event heap of ``(time, seq, opcode, ...)`` tuples and
+    ``pending`` the heap of issued transfers waiting for free engines,
+    ``(ready_time, seq, send_op)``; ``eseq`` and ``tseq`` are their next
+    sequence numbers.  ``arrived`` holds the interned tags of delivered
+    messages.
+    """
+
+    pc: list[int]
+    blocked_tag: list[int | None]
+    blocked_since: list[float]
+    busy_time: list[float]
+    comm_blocked: list[float]
+    current_mem: list[float]
+    peak_mem: list[float]
+    bytes_sent: list[float]
+    bytes_received: list[float]
+    comm_free: list[float]  # half-duplex engine
+    send_free: list[float]  # full-duplex engines
+    recv_free: list[float]
+    events: list[tuple]
+    pending: list[tuple]
+    arrived: set[int]
+    eseq: int = 0
+    tseq: int = 0
+    makespan: float = 0.0
+    events_processed: int = 0
+
+    @classmethod
+    def start(cls, static: list[float]) -> _State:
+        """Time zero: nothing issued, memory at the static baseline."""
+        p = len(static)
+        return cls(
+            pc=[0] * p,
+            blocked_tag=[None] * p,
+            blocked_since=[0.0] * p,
+            busy_time=[0.0] * p,
+            comm_blocked=[0.0] * p,
+            current_mem=list(static),
+            peak_mem=list(static),
+            bytes_sent=[0.0] * p,
+            bytes_received=[0.0] * p,
+            comm_free=[0.0] * p,
+            send_free=[0.0] * p,
+            recv_free=[0.0] * p,
+            events=[],
+            pending=[],
+            arrived=set(),
+        )
+
+    def snapshot(self) -> _State:
+        """A copy that shares no list with this state, ``arrived`` left empty.
+
+        ``arrived`` grows with the run, so a checkpoint that copied it
+        would cost time and memory quadratic in the run length; a resume
+        rebuilds it from ``pc``, ``events`` and ``pending`` instead
+        (:func:`repro.sim.incremental.resimulate`).
+        """
+        return _State(
+            pc=self.pc[:],
+            blocked_tag=self.blocked_tag[:],
+            blocked_since=self.blocked_since[:],
+            busy_time=self.busy_time[:],
+            comm_blocked=self.comm_blocked[:],
+            current_mem=self.current_mem[:],
+            peak_mem=self.peak_mem[:],
+            bytes_sent=self.bytes_sent[:],
+            bytes_received=self.bytes_received[:],
+            comm_free=self.comm_free[:],
+            send_free=self.send_free[:],
+            recv_free=self.recv_free[:],
+            events=self.events[:],
+            pending=self.pending[:],
+            arrived=set(),
+            eseq=self.eseq,
+            tseq=self.tseq,
+            makespan=self.makespan,
+            events_processed=self.events_processed,
+        )
+
+
+def _run_events(
+    name: str,
+    programs: list[list[tuple]],
+    static: list[float],
+    half: bool,
+    state: _State | None = None,
+    trace: Trace | None = None,
+    checkpoints: list[_State] | None = None,
+    every: int = 0,
+) -> SimResult:
+    """Run compiled ``programs`` to completion: the one event loop.
+
+    ``state`` is the state to run from (default: time zero; it is
+    mutated in place).  ``trace``, when given, receives one
+    :class:`~repro.sim.trace.Interval` per compute and transfer.
+    ``checkpoints``, when given, receives a :meth:`_State.snapshot`
+    after every ``every`` processed events while events remain.
+    Raises :class:`DeadlockError` when a stage cannot finish.
+    """
+    p = len(programs)
+    sizes = [len(ops) for ops in programs]
+    fresh = state is None
+    if state is None:
+        state = _State.start(static)
+    # Per-stage scalar state in parallel lists (cheaper than attribute
+    # access on a state object in the inner loop).
+    pc = state.pc
+    blocked_tag = state.blocked_tag
+    blocked_since = state.blocked_since
+    busy_time = state.busy_time
+    comm_blocked = state.comm_blocked
+    current_mem = state.current_mem
+    peak_mem = state.peak_mem
+    bytes_sent = state.bytes_sent
+    bytes_received = state.bytes_received
+    comm_free = state.comm_free
+    send_free = state.send_free
+    recv_free = state.recv_free
+    events = state.events
+    pending = state.pending
+    arrived = state.arrived
+    eseq = state.eseq
+    tseq = state.tseq
+    makespan = state.makespan
+    nproc = state.events_processed
+    next_checkpoint = nproc + every if checkpoints is not None else -1
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    def start_transfers(now: float) -> None:
+        # Start every pending transfer whose engines are free at
+        # ``now``.  A single pass in (ready_time, issue order)
+        # suffices: starting a transfer only makes engines busier,
+        # never frees one.
+        nonlocal eseq
+        still: list[tuple] = []
+        while pending:
+            item = heappop(pending)
+            if item[0] <= now:
+                op = item[2]
+                src, dst = op[2], op[3]
+                if half:
+                    a, b = comm_free[src], comm_free[dst]
+                else:
+                    a, b = send_free[src], recv_free[dst]
+                if (a if a > b else b) <= now:
+                    end = now + op[5]
                     if half:
-                        a, b = comm_free[src], comm_free[dst]
+                        comm_free[src] = end
+                        comm_free[dst] = end
                     else:
-                        a, b = send_free[src], recv_free[dst]
-                    if (a if a > b else b) <= now:
-                        end = now + op[5]
-                        if half:
-                            comm_free[src] = end
-                            comm_free[dst] = end
-                        else:
-                            send_free[src] = end
-                            recv_free[dst] = end
-                        heappush(events, (end, next(eseq), _SEND, op, now))
-                        continue
-                still.append(item)
-            for item in still:
-                heappush(pending, item)
+                        send_free[src] = end
+                        recv_free[dst] = end
+                    heappush(events, (end, eseq, _SEND, op, now))
+                    eseq += 1
+                    continue
+            still.append(item)
+        for item in still:
+            heappush(pending, item)
 
-        def advance(stage: int, now: float) -> None:
-            # Run the stage's program counter forward until it starts a
-            # compute, blocks on a missing message, or finishes.
-            ops = programs[stage]
-            n = sizes[stage]
-            i = pc[stage]
-            while i < n:
-                op = ops[i]
-                code = op[0]
-                if code == _COMPUTE:
-                    computing[stage] = True
-                    high = current_mem[stage] + op[3]
-                    if high > peak_mem[stage]:
-                        peak_mem[stage] = high
-                    heappush(
-                        events,
-                        (now + op[1], next(eseq), _COMPUTE, stage, op, now),
-                    )
-                    pc[stage] = i
-                    return
-                if code == _SEND:
-                    heappush(pending, (now, next(tseq), op))
-                    i += 1
-                    pc[stage] = i
-                    start_transfers(now)
-                    continue
-                # _RECV
-                if op[1] in arrived:
-                    i += 1
-                    continue
-                blocked_tag[stage] = op[1]
-                blocked_since[stage] = now
+    def advance(stage: int, now: float) -> None:
+        # Run the stage's program counter forward until it starts a
+        # compute, blocks on a missing message, or finishes.
+        nonlocal eseq, tseq
+        ops = programs[stage]
+        n = sizes[stage]
+        i = pc[stage]
+        while i < n:
+            op = ops[i]
+            code = op[0]
+            if code == _COMPUTE:
+                high = current_mem[stage] + op[3]
+                if high > peak_mem[stage]:
+                    peak_mem[stage] = high
+                heappush(events, (now + op[1], eseq, _COMPUTE, stage, op, now))
+                eseq += 1
                 pc[stage] = i
                 return
+            if code == _SEND:
+                heappush(pending, (now, tseq, op))
+                tseq += 1
+                i += 1
+                pc[stage] = i
+                start_transfers(now)
+                continue
+            # _RECV
+            if op[1] in arrived:
+                i += 1
+                continue
+            blocked_tag[stage] = op[1]
+            blocked_since[stage] = now
             pc[stage] = i
+            return
+        pc[stage] = i
 
+    if fresh:
         for stage in range(p):
             advance(stage, 0.0)
 
-        # Events pop in non-decreasing time order, so the makespan is
-        # simply the time of the last event (identical to the maximum
-        # interval end the trace used to report).
-        makespan = 0.0
-        while events:
-            ev = heappop(events)
-            t = ev[0]
-            makespan = t
-            if ev[2] == _COMPUTE:
-                stage, op = ev[3], ev[4]
-                computing[stage] = False
-                busy_time[stage] += op[1]
-                cur = current_mem[stage] + op[2]
-                current_mem[stage] = cur
-                if cur > peak_mem[stage]:
-                    peak_mem[stage] = cur
-                if trace is not None:
-                    instr = op[4]
-                    trace.add(
-                        Interval(
-                            kind="compute",
-                            stage=stage,
-                            start=ev[5],
-                            end=t,
-                            label=instr.label,
-                            micro_batch=instr.micro_batch,
-                        )
+    # Events pop in non-decreasing time order, so the makespan is
+    # simply the time of the last event (identical to the maximum
+    # interval end the trace used to report).
+    while events:
+        ev = heappop(events)
+        t = ev[0]
+        makespan = t
+        if ev[2] == _COMPUTE:
+            stage, op = ev[3], ev[4]
+            busy_time[stage] += op[1]
+            cur = current_mem[stage] + op[2]
+            current_mem[stage] = cur
+            if cur > peak_mem[stage]:
+                peak_mem[stage] = cur
+            if trace is not None:
+                instr = op[4]
+                trace.add(
+                    Interval(
+                        kind="compute",
+                        stage=stage,
+                        start=ev[5],
+                        end=t,
+                        label=instr.label,
+                        micro_batch=instr.micro_batch,
                     )
-                pc[stage] += 1
-                advance(stage, t)
-            else:  # _SEND completion
-                op = ev[3]
-                tid, src, dst = op[1], op[2], op[3]
-                arrived.add(tid)
-                bytes_sent[src] += op[4]
-                bytes_received[dst] += op[4]
-                if trace is not None:
-                    instr = op[6]
-                    trace.add(
-                        Interval(
-                            kind="comm",
-                            stage=src,
-                            start=ev[4],
-                            end=t,
-                            label=instr.tag,
-                            micro_batch=instr.micro_batch,
-                            peer=dst,
-                        )
-                    )
-                start_transfers(t)
-                if blocked_tag[dst] == tid:
-                    blocked_tag[dst] = None
-                    comm_blocked[dst] += t - blocked_since[dst]
-                    pc[dst] += 1
-                    advance(dst, t)
-
-        # -- wrap-up ---------------------------------------------------------
-
-        stuck = []
-        for stage in range(p):
-            if pc[stage] < sizes[stage]:
-                instr = self.schedule.programs[stage][pc[stage]]
-                tid = blocked_tag[stage]
-                blocked = None if tid is None else programs[stage][pc[stage]][2].tag
-                stuck.append(
-                    f"stage {stage} stuck at pc={pc[stage]} "
-                    f"({instr.label}, blocked_on={blocked})"
                 )
-        if pending:
-            tags = [item[2][6].tag for item in pending]
-            stuck.append(f"undelivered transfers: {tags[:5]}")
-        if stuck:
-            raise DeadlockError(
-                f"schedule {self.schedule.name!r} deadlocked:\n  " + "\n  ".join(stuck)
-            )
+            pc[stage] += 1
+            advance(stage, t)
+        else:  # _SEND completion
+            op = ev[3]
+            tid, src, dst = op[1], op[2], op[3]
+            arrived.add(tid)
+            bytes_sent[src] += op[4]
+            bytes_received[dst] += op[4]
+            if trace is not None:
+                instr = op[6]
+                trace.add(
+                    Interval(
+                        kind="comm",
+                        stage=src,
+                        start=ev[4],
+                        end=t,
+                        label=instr.tag,
+                        micro_batch=instr.micro_batch,
+                        peer=dst,
+                    )
+                )
+            start_transfers(t)
+            if blocked_tag[dst] == tid:
+                blocked_tag[dst] = None
+                comm_blocked[dst] += t - blocked_since[dst]
+                pc[dst] += 1
+                advance(dst, t)
+        nproc += 1
+        if nproc == next_checkpoint:
+            next_checkpoint += every
+            if events:
+                state.eseq, state.tseq = eseq, tseq
+                state.makespan, state.events_processed = makespan, nproc
+                checkpoints.append(state.snapshot())  # type: ignore[union-attr]
 
-        stages = [
-            StageMetrics(
-                stage=i,
-                busy_time=busy_time[i],
-                comm_blocked_time=comm_blocked[i],
-                peak_memory_bytes=peak_mem[i],
-                static_memory_bytes=self.static[i],
-                bytes_sent=bytes_sent[i],
-                bytes_received=bytes_received[i],
+    stuck = []
+    for stage in range(p):
+        i = pc[stage]
+        if i < sizes[stage]:
+            instr = programs[stage][i][-1]
+            blocked = None if blocked_tag[stage] is None else instr.tag
+            stuck.append(
+                f"stage {stage} stuck at pc={i} "
+                f"({instr.label}, blocked_on={blocked})"
             )
-            for i in range(p)
-        ]
-        return SimResult(
-            schedule_name=self.schedule.name,
-            makespan=makespan,
-            stages=stages,
-            trace=trace if trace is not None else Trace(),
+    if pending:
+        tags = [item[2][6].tag for item in pending]
+        stuck.append(f"undelivered transfers: {tags[:5]}")
+    if stuck:
+        raise DeadlockError(f"schedule {name!r} deadlocked:\n  " + "\n  ".join(stuck))
+
+    stages = [
+        StageMetrics(
+            stage=i,
+            busy_time=busy_time[i],
+            comm_blocked_time=comm_blocked[i],
+            peak_memory_bytes=peak_mem[i],
+            static_memory_bytes=static[i],
+            bytes_sent=bytes_sent[i],
+            bytes_received=bytes_received[i],
         )
+        for i in range(p)
+    ]
+    return SimResult(
+        schedule_name=name,
+        makespan=makespan,
+        stages=stages,
+        trace=trace if trace is not None else Trace(),
+    )
 
 
 def simulate(

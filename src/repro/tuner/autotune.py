@@ -38,6 +38,7 @@ import gc
 import itertools
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -376,14 +377,15 @@ class _EvalContext:
 
     The context also owns the sweep's build/simulate fast paths:
 
-    * ``ir_cache`` memoizes built IR under its structural key, so a
-      configuration revisited by a warm re-sweep, another grid point or
-      a parallel worker is never rebuilt;
-    * ``incremental`` turns on prefix re-simulation for candidate
-      *families* (same schedule/m/options, different recompute): the
-      first sibling simulated records a timeline reference, later
-      siblings resume it (:mod:`repro.sim.incremental`), with metrics
-      bit-identical to a full simulation either way;
+    * ``ir_cache``, a :class:`ScheduleIRCache` private to this sweep,
+      memoizes built IR under the candidate's key and holds one
+      simulation reference per candidate *family* (same
+      schedule/m/options, different recompute);
+    * ``incremental`` turns on prefix re-simulation for families of
+      more than one of the sweep's ``candidates``: the first sibling
+      simulated records a timeline reference, later siblings resume it
+      (:mod:`repro.sim.incremental`), with metrics bit-identical to a
+      full simulation either way;
     * ``telemetry`` accumulates per-phase wall time and counters.
     """
 
@@ -391,20 +393,20 @@ class _EvalContext:
         self,
         workload: Any,
         memory_cap_bytes: float,
+        candidates: Iterable[Candidate],
         *,
-        wkey: tuple | None = None,
-        ir_cache: ScheduleIRCache | None = None,
         incremental: bool = True,
         telemetry: SweepTelemetry | None = None,
-        family_counts: Mapping[tuple, int] | None = None,
     ) -> None:
         self.workload = workload
         self.memory_cap_bytes = float(memory_cap_bytes)
-        self.wkey = wkey
-        self.ir_cache = ir_cache
+        self.wkey = _workload_key(workload)
+        self.ir_cache = ScheduleIRCache()
         self.incremental = incremental
         self.telemetry = telemetry
-        self.family_counts = family_counts if family_counts is not None else {}
+        # Recording a resumable reference costs a few percent, so only
+        # families with a sibling to resume it record one.
+        self.family_counts = Counter(self.family_key(c) for c in candidates)
         self._costs: dict[RecomputeStrategy, Any] = {}
         self._static: float | None = None
         self._defaults: dict[str, dict[str, Any]] = {}
@@ -428,15 +430,14 @@ class _EvalContext:
             )
         return defaults
 
-    def _workload_key(self) -> tuple:
-        if self.wkey is None:
-            self.wkey = _workload_key(self.workload)
-        return self.wkey
+    def key(self, cand: Candidate) -> tuple:
+        """The candidate's cost-cache (and IR-cache) key."""
+        return _candidate_key(self.workload, cand, self.memory_cap_bytes, self.wkey)
 
     def family_key(self, cand: Candidate) -> tuple:
         """Identity of a candidate's sibling family (recompute excluded)."""
         return (
-            self._workload_key(),
+            self.wkey,
             self.memory_cap_bytes,
             cand.schedule,
             cand.num_micro_batches,
@@ -446,22 +447,12 @@ class _EvalContext:
     def build_schedule(self, spec: ScheduleSpec, cand: Candidate, opts: dict):
         """Build (or fetch) the candidate's IR; cached structurally."""
         tel = self.telemetry
-        cache = self.ir_cache
-        key = None
-        if cache is not None:
-            key = (
-                self._workload_key(),
-                self.memory_cap_bytes,
-                cand.schedule,
-                cand.recompute.value,
-                cand.num_micro_batches,
-                cand.options,
-            )
-            sched = cache.get(key)
-            if sched is not None:
-                if tel is not None:
-                    tel.build_cache_hits += 1
-                return sched
+        key = self.key(cand)
+        sched = self.ir_cache.get(key)
+        if sched is not None:
+            if tel is not None:
+                tel.build_cache_hits += 1
+            return sched
         t0 = time.perf_counter()
         sched = spec.build(
             (self.workload.p, cand.num_micro_batches),
@@ -472,8 +463,7 @@ class _EvalContext:
         if tel is not None:
             tel.build_s += time.perf_counter() - t0
             tel.built += 1
-        if cache is not None:
-            cache.put(key, sched)
+        self.ir_cache.put(key, sched)
         return sched
 
     def simulate_candidate(self, cand: Candidate, sched):
@@ -489,10 +479,9 @@ class _EvalContext:
         tel = self.telemetry
         t0 = time.perf_counter()
         try:
-            cache = self.ir_cache
-            if self.incremental and cache is not None:
+            if self.incremental:
                 fam = self.family_key(cand)
-                ref = cache.get_reference(fam)
+                ref = self.ir_cache.get_reference(fam)
                 if ref is not None:
                     result, stats = resimulate(
                         ref,
@@ -507,7 +496,7 @@ class _EvalContext:
                         else:
                             tel.incremental_fallbacks += 1
                     return result
-                if self.family_counts.get(fam, 0) > 1 and (
+                if self.family_counts[fam] > 1 and (
                     sum(len(prog) for prog in sched.programs)
                     >= _MIN_RECORD_OPS
                 ):
@@ -517,7 +506,7 @@ class _EvalContext:
                         static_memory_bytes=self.static_memory(),
                         verify=False,
                     )
-                    cache.put_reference(fam, ref)
+                    self.ir_cache.put_reference(fam, ref)
                     if tel is not None:
                         tel.references_recorded += 1
                     return ref.result
@@ -533,36 +522,28 @@ class _EvalContext:
                 tel.simulate_s += time.perf_counter() - t0
                 tel.simulated += 1
 
-
-def _cold_evaluate(
-    workload: Any,
-    cand: Candidate,
-    memory_cap_bytes: float,
-    ctx: _EvalContext | None = None,
-) -> dict[str, Any]:
-    """Build + simulate one candidate; returns a cacheable record."""
-    if ctx is None:
-        ctx = _EvalContext(workload, memory_cap_bytes)
-    spec = get_schedule(cand.schedule)
-    opts = dict(cand.options)
-    for name, value in ctx.option_defaults(spec).items():
-        opts.setdefault(name, value)
-    try:
-        # verify=False on both steps: registry builders are
-        # property-tested against the full pass pipeline, so the sweep
-        # skips the per-candidate re-verification; a genuinely
-        # unexecutable schedule still surfaces as a runtime
-        # DeadlockError below.
-        sched = ctx.build_schedule(spec, cand, opts)
-        result = ctx.simulate_candidate(cand, sched)
-    except (ScheduleBuildError, DeadlockError, ValueError) as err:
-        return {"error": str(err)}
-    return {
-        "error": None,
-        "makespan": result.makespan,
-        "peak_memory_bytes": result.max_peak_memory_bytes,
-        "bubble_fraction": result.bubble_fraction,
-    }
+    def evaluate(self, cand: Candidate) -> dict[str, Any]:
+        """Build + simulate one candidate; returns a cacheable record."""
+        spec = get_schedule(cand.schedule)
+        opts = dict(cand.options)
+        for name, value in self.option_defaults(spec).items():
+            opts.setdefault(name, value)
+        try:
+            # verify=False on both steps: registry builders are
+            # property-tested against the full pass pipeline, so the sweep
+            # skips the per-candidate re-verification; a genuinely
+            # unexecutable schedule still surfaces as a runtime
+            # DeadlockError below.
+            sched = self.build_schedule(spec, cand, opts)
+            result = self.simulate_candidate(cand, sched)
+        except (ScheduleBuildError, DeadlockError, ValueError) as err:
+            return {"error": str(err)}
+        return {
+            "error": None,
+            "makespan": result.makespan,
+            "peak_memory_bytes": result.max_peak_memory_bytes,
+            "bubble_fraction": result.bubble_fraction,
+        }
 
 
 def _infeasible(cand: Candidate, reason: str) -> PlanResult:
@@ -621,7 +602,6 @@ def autotune(
     include_infeasible: bool = True,
     workers: int | None = None,
     prune: bool = True,
-    ir_cache: ScheduleIRCache | None = None,
     incremental: bool = True,
     telemetry: SweepTelemetry | None = None,
 ) -> list[PlanResult]:
@@ -688,13 +668,6 @@ def autotune(
         is the exhaustive escape hatch; workloads the closed-form model
         cannot price (duck types without model/GPU attributes) disable
         pruning automatically.
-    ir_cache:
-        :class:`ScheduleIRCache` memoizing built IR under its structural
-        key (workload, cap, schedule, recompute, m, options), so each
-        distinct IR builds exactly once per cache lifetime.  ``None``
-        (default) uses a fresh private cache for this sweep; pass a
-        shared instance to reuse builds across sweeps
-        (:func:`repro.tuner.grid.tune_grid` does).
     incremental:
         Re-simulate candidate *families* (same schedule/m/options,
         different recompute strategy) incrementally: the first sibling
@@ -717,14 +690,11 @@ def autotune(
         candidates in sweep order.
     """
     cache = DEFAULT_CACHE if cache is None else cache
-    if ir_cache is None:
-        ir_cache = ScheduleIRCache()
     if memory_cap_bytes is None:
         memory_cap_bytes = float(workload.cluster.node.gpu.hbm_bytes)
 
-    wkey = _workload_key(workload)
     rows: list[PlanResult | None] = []
-    pending: list[tuple[int, Candidate, tuple]] = []
+    todo: list[tuple[int, Candidate]] = []
     for cand, precluded in _iter_grid(
         workload, schedules, recomputes, micro_batch_counts, option_grids,
         fill_budget,
@@ -743,32 +713,17 @@ def autotune(
         if precluded is not None:
             rows.append(_infeasible(cand, precluded))
             continue
-        pending.append(
-            (
-                len(rows),
-                cand,
-                _candidate_key(workload, cand, memory_cap_bytes, wkey),
-            )
-        )
+        todo.append((len(rows), cand))
         rows.append(None)
 
-    # Sibling-family multiplicity decides whether the first simulated
-    # member records a resumable timeline reference: recording costs a
-    # few percent, so singleton families skip it.
-    family_counts: dict[tuple, int] = {}
-    cap = float(memory_cap_bytes)
-    for _, cand, _key in pending:
-        fam = (wkey, cap, cand.schedule, cand.num_micro_batches, cand.options)
-        family_counts[fam] = family_counts.get(fam, 0) + 1
     ctx = _EvalContext(
         workload,
         memory_cap_bytes,
-        wkey=wkey,
-        ir_cache=ir_cache,
+        [cand for _, cand in todo],
         incremental=incremental,
         telemetry=telemetry,
-        family_counts=family_counts,
     )
+    pending = [(idx, cand, ctx.key(cand)) for idx, cand in todo]
     if telemetry is not None:
         telemetry.candidates += len(pending)
 
@@ -861,10 +816,7 @@ def autotune(
                 record = cache.get_or_eval(key, lambda k=key: remote[k])
             else:
                 record = cache.get_or_eval(
-                    key,
-                    lambda c=cand: _cold_evaluate(
-                        workload, c, memory_cap_bytes, ctx
-                    ),
+                    key, lambda c=cand: ctx.evaluate(c)
                 )
             row = _to_plan_result(workload, cand, record, memory_cap_bytes)
             rows[idx] = row

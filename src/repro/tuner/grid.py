@@ -34,7 +34,6 @@ from typing import Any, Mapping, Sequence
 from repro.costmodel.memory import RecomputeStrategy
 from repro.tuner.autotune import PlanResult, autotune
 from repro.tuner.cache import DEFAULT_CACHE, CostCache
-from repro.tuner.ircache import ScheduleIRCache
 from repro.tuner.telemetry import SweepTelemetry
 from repro.workloads import WorkloadGrid, WorkloadPoint
 
@@ -80,7 +79,6 @@ def tune_grid(
     include_infeasible: bool = True,
     workers: int | None = None,
     prune: bool = True,
-    ir_cache: ScheduleIRCache | None = None,
     incremental: bool = True,
     telemetry: SweepTelemetry | None = None,
 ) -> list[GridPlan]:
@@ -94,14 +92,11 @@ def tune_grid(
     false -- by every infeasible row: unrunnable grid points first (in
     grid order), then per-point infeasible candidates (in sweep order).
 
-    All points share one :class:`~repro.tuner.ircache.ScheduleIRCache`
-    (created here when ``ir_cache`` is ``None``): IR keys embed the
-    workload identity, so distinct points never alias, while re-swept
-    points reuse their builds outright.  ``telemetry`` likewise
-    aggregates across every point of the grid.
+    Each point is one :func:`autotune` sweep with its own build cache;
+    ``cache`` and ``telemetry`` are shared and aggregate across every
+    point of the grid.
     """
     cache = DEFAULT_CACHE if cache is None else cache
-    ir_cache = ScheduleIRCache() if ir_cache is None else ir_cache
     feasible: list[GridPlan] = []
     dead_points: list[GridPlan] = []
     infeasible: list[GridPlan] = []
@@ -120,7 +115,6 @@ def tune_grid(
             include_infeasible=True,
             workers=workers,
             prune=prune,
-            ir_cache=ir_cache,
             incremental=incremental,
             telemetry=telemetry,
         )

@@ -1,26 +1,24 @@
-"""Structural build cache for schedule IR and simulation references.
+"""Per-sweep build cache for schedule IR and simulation references.
 
-Building a candidate's IR (task-graph planning + instruction emission)
-dominates the auto-tuner's cold path, and the *same* IR is rebuilt
-whenever sweeps revisit a configuration: a workload grid re-sweeping a
-point, a warm re-run after a pruning-policy change, parallel workers
-re-deriving what a neighbour already built.  A :class:`ScheduleIRCache`
-memoizes built :class:`~repro.schedules.ir.Schedule` objects under their
-full structural identity so each distinct IR is built exactly once per
-cache lifetime.
+Each auto-tune sweep (one :func:`repro.tuner.autotune` call, or one
+process-pool chunk of it) owns one :class:`ScheduleIRCache`, created by
+its evaluation context and dropped with it.  The cache holds:
 
-The cache key is the complete set of inputs the build is a function of::
+* built :class:`~repro.schedules.ir.Schedule` objects under the
+  candidate's full structural identity::
 
-    (workload_key, memory_cap_bytes, schedule, recompute, m, options)
+      (workload_key, memory_cap_bytes, schedule, recompute, m, options)
 
-``recompute`` *must* be part of the key: helix plans are not
-recompute-invariant (durations feed the list scheduler's readiness
-order), so two strategies with identical structure can still emit
-different instruction streams.  Cross-recompute reuse happens one level
-down instead, at the simulation-timeline level -- the cache also stores
-one :class:`~repro.sim.incremental.SimReference` per *family* (same key
-minus the recompute strategy) so siblings can resume the recorded
-timeline prefix (:func:`~repro.sim.incremental.resimulate`).
+  ``recompute`` *must* be part of the key: helix plans are not
+  recompute-invariant (durations feed the list scheduler's readiness
+  order), so two strategies with identical structure can still emit
+  different instruction streams.  Candidate keys are unique within a
+  sweep, so this memo does not hit there; the benchmark's tracer counts
+  its lookups (``tuner.ircache.hit_ratio``).
+* one :class:`~repro.sim.incremental.SimReference` per *family* (same
+  key minus the recompute strategy), so siblings resume the recorded
+  timeline prefix (:func:`~repro.sim.incremental.resimulate`) -- the
+  cross-recompute reuse that does pay.
 
 Cached schedules are shared, not copied: treat them as immutable (the
 tuner and simulator only read them).

@@ -37,42 +37,21 @@ def evaluate_chunk(
     :meth:`~CostCache.merge` it; its stats are the worker's own
     bookkeeping (all misses: the parent only ships keys it did not have).
 
-    Each worker owns a private :class:`~repro.tuner.ircache.ScheduleIRCache`
-    (built IR and simulation references do not pickle across the pool
-    economically), so within a chunk every distinct IR builds once and
-    sibling candidates re-simulate incrementally -- results are
-    bit-identical to the serial sweep's either way.
+    Each chunk is one sweep with its own evaluation context (built IR
+    and simulation references do not pickle across the pool
+    economically), so within a chunk sibling candidates re-simulate
+    incrementally -- results are bit-identical to the serial sweep's
+    either way.
     """
     # Imported here, not at module top: autotune imports this module, so
     # a top-level back-import would be circular.
-    from repro.tuner.autotune import (
-        _candidate_key,
-        _cold_evaluate,
-        _EvalContext,
-        _gc_paused,
-        _workload_key,
-    )
-    from repro.tuner.ircache import ScheduleIRCache
+    from repro.tuner.autotune import _EvalContext, _gc_paused
 
     local = CostCache()
-    wkey = _workload_key(workload)
-    cap = float(memory_cap_bytes)
-    family_counts: dict[tuple, int] = {}
-    for cand in candidates:
-        fam = (wkey, cap, cand.schedule, cand.num_micro_batches, cand.options)
-        family_counts[fam] = family_counts.get(fam, 0) + 1
     ctx = _EvalContext(
-        workload,
-        memory_cap_bytes,
-        wkey=wkey,
-        ir_cache=ScheduleIRCache(),
-        incremental=incremental,
-        family_counts=family_counts,
+        workload, memory_cap_bytes, candidates, incremental=incremental
     )
     with _gc_paused():
         for cand in candidates:
-            local.get_or_eval(
-                _candidate_key(workload, cand, memory_cap_bytes, wkey),
-                lambda c=cand: _cold_evaluate(workload, c, memory_cap_bytes, ctx),
-            )
+            local.get_or_eval(ctx.key(cand), lambda c=cand: ctx.evaluate(c))
     return local

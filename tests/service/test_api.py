@@ -1,7 +1,10 @@
 """HTTP layer: routing, JSON error mapping, live-server round trips."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -76,6 +79,25 @@ class TestRouting:
         assert code == 405 and "not allowed" in body["error"]
         code, body = _error(server, "POST", "/v1/stats")
         assert code == 405
+
+    def test_keep_alive_responses_are_not_delayed(self, server):
+        # Sequential requests on one keep-alive connection: a response
+        # written as two segments under Nagle's algorithm waits for the
+        # client's delayed ACK (~40 ms on Linux).
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            elapsed = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/v1/healthz")
+                resp = conn.getresponse()
+                body = json.loads(resp.read())
+                elapsed.append(time.perf_counter() - t0)
+                assert resp.status == 200 and body["status"] == "ok"
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.010, elapsed
 
     def test_trailing_slash_is_tolerated(self, server):
         status, _ = _get(server, "/v1/healthz/")

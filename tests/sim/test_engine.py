@@ -5,7 +5,8 @@ import pytest
 from repro.cluster import abstract_cluster
 from repro.model import Segment, SegmentKind
 from repro.schedules.ir import ComputeInstr, OpType, RecvInstr, Schedule, SendInstr
-from repro.sim import DeadlockError, PipelineSimulator, simulate
+from repro.sim import DeadlockError, compile_programs, simulate
+from repro.sim.engine import _run_events
 
 SEG = Segment(SegmentKind.LAYERS, 0, 1)
 
@@ -62,14 +63,11 @@ class TestBasicExecution:
 
     def test_missing_message_deadlocks(self):
         s = Schedule("t", 2, 1, [[], [RecvInstr(1, 0, "x", 1.0), _f(1)]])
-        # Bypass validation (unpaired tag) to exercise the deadlock path.
-        sim = PipelineSimulator.__new__(PipelineSimulator)
-        sim.schedule = s
-        sim.cluster = abstract_cluster(2)
-        sim.duplex = "full"
-        sim.static = [0.0, 0.0]
+        # Drive the event loop on hand-compiled programs, bypassing
+        # validation (unpaired tag), to exercise the deadlock path.
+        programs, _ = compile_programs(s, abstract_cluster(2))
         with pytest.raises(DeadlockError):
-            sim.run()
+            _run_events(s.name, programs, [0.0, 0.0], half=False)
 
 
 class TestEngines:

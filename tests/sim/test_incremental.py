@@ -16,8 +16,10 @@ import functools
 
 import pytest
 
+from repro.cluster import abstract_cluster
 from repro.costmodel.memory import RecomputeStrategy
-from repro.schedules.ir import ComputeInstr, Schedule
+from repro.model import Segment, SegmentKind
+from repro.schedules.ir import ComputeInstr, OpType, Schedule
 from repro.schedules.registry import (
     available_schedules,
     get_schedule,
@@ -27,6 +29,9 @@ from repro.sim import ResimStats, resimulate, simulate, simulate_recording
 from repro.workloads import Workload
 
 PS = (2, 4)
+#: Reference and sibling always share the mode; a mismatch is the
+#: fallback case tested on its own below.
+DUPLEX = ("full", "half")
 
 
 def _workload(p):
@@ -45,11 +50,12 @@ def _built(name, p, recompute):
     return sched, wl
 
 
-def _full(sched, wl):
+def _full(sched, wl, duplex="full"):
     return simulate(
         sched,
         wl.cluster,
         static_memory_bytes=wl.static_memory(),
+        duplex=duplex,
         verify=False,
         record_trace=False,
     )
@@ -80,17 +86,19 @@ def _sibling_cases():
 
 
 class TestRecordingMatchesSimulate:
+    @pytest.mark.parametrize("duplex", DUPLEX)
     @pytest.mark.parametrize("name,p,rc", _cases())
-    def test_bit_identical(self, name, p, rc):
+    def test_bit_identical(self, name, p, rc, duplex):
         sched, wl = _built(name, p, rc)
         ref = simulate_recording(
             sched,
             wl.cluster,
             static_memory_bytes=wl.static_memory(),
+            duplex=duplex,
             verify=False,
             checkpoint_every=64,
         )
-        assert ref.result == _full(sched, wl)
+        assert ref.result == _full(sched, wl, duplex)
 
     def test_rejects_bad_checkpoint_interval(self):
         sched, wl = _built("helix", 4, RecomputeStrategy.NONE)
@@ -99,14 +107,16 @@ class TestRecordingMatchesSimulate:
 
 
 class TestSiblingResimulation:
+    @pytest.mark.parametrize("duplex", DUPLEX)
     @pytest.mark.parametrize("name,p,ref_rc,sib_rc", _sibling_cases())
-    def test_bit_identical_across_recomputes(self, name, p, ref_rc, sib_rc):
+    def test_bit_identical_across_recomputes(self, name, p, ref_rc, sib_rc, duplex):
         ref_sched, wl = _built(name, p, ref_rc)
         sib_sched, _ = _built(name, p, sib_rc)
         ref = simulate_recording(
             ref_sched,
             wl.cluster,
             static_memory_bytes=wl.static_memory(),
+            duplex=duplex,
             verify=False,
             checkpoint_every=64,
         )
@@ -115,11 +125,12 @@ class TestSiblingResimulation:
             sib_sched,
             wl.cluster,
             static_memory_bytes=wl.static_memory(),
+            duplex=duplex,
             verify=False,
         )
         assert isinstance(stats, ResimStats)
         assert stats.mode in ("incremental", "fallback")
-        assert result == _full(sib_sched, wl)
+        assert result == _full(sib_sched, wl, duplex)
 
     def test_helix_siblings_take_the_incremental_path(self):
         # Helix recompute siblings share the whole forward phase, so a
@@ -322,3 +333,34 @@ class TestConservativeFallbacks:
         )
         assert all(ref.tag_ids[k] == v for k, v in before.items())
         assert len(ref.tag_ids) >= len(before)
+
+
+class TestMemoryReplay:
+    def test_resume_replays_sibling_memory_before_the_checkpoint(self):
+        # Two independent stages diverging in timing only at their last
+        # compute.  The resume point (checkpointing every event) has
+        # stage 0's workspace-heavy compute in flight and stage 1's
+        # first compute done, whose workspace only the sibling raises:
+        # both peaks come from the replayed prefix, not the resumed run.
+        seg = Segment(SegmentKind.LAYERS, 0, 1)
+
+        def sched(ws_first, last):
+            return Schedule("t", 2, 1, [
+                [
+                    ComputeInstr(OpType.F, s, 0, seg, duration=1.0,
+                                 workspace=ws_first if s else 0.0),
+                    ComputeInstr(OpType.F, s, 1, seg, duration=10.0,
+                                 workspace=0.0 if s else 100.0),
+                    ComputeInstr(OpType.F, s, 2, seg, duration=last),
+                ]
+                for s in range(2)
+            ])
+
+        cluster = abstract_cluster(2)
+        ref = simulate_recording(sched(0.0, 1.0), cluster, checkpoint_every=1)
+        sibling = sched(200.0, 2.0)
+        result, stats = resimulate(ref, sibling, cluster)
+        assert stats.mode == "incremental"
+        assert stats.resumed_at_events == 2
+        assert result.peak_memory_bytes == [100.0, 200.0]
+        assert result == simulate(sibling, cluster, record_trace=False)

@@ -3,8 +3,7 @@
 The structural build cache may only ever return the IR that the exact
 same build inputs would have produced -- so the suite checks that cache
 keys separate every axis of the candidate space (schedule, recompute,
-micro-batch count, each option grid point), that warm sweeps served
-from a shared cache are bit-identical to cold ones, that incremental
+micro-batch count, each option grid point), that incremental
 re-simulation and parallel workers agree with the plain serial path,
 and that the LRU bounds hold.
 """
@@ -113,17 +112,6 @@ class TestSweepEquivalence:
     def test_incremental_off_is_bit_identical(self):
         assert _rows() == _rows(incremental=False)
 
-    def test_no_ir_cache_warm_rerun_is_bit_identical(self):
-        # Same private cache across two sweeps: the second run is served
-        # from warm IR yet must reproduce the cold rows exactly.
-        shared = ScheduleIRCache()
-        tel = SweepTelemetry()
-        cold = _rows(ir_cache=shared, telemetry=tel)
-        hits_after_cold = shared.hits
-        warm = _rows(ir_cache=shared, telemetry=tel)
-        assert warm == cold
-        assert shared.hits > hits_after_cold
-
     def test_parallel_equals_serial(self):
         serial = _rows()
         parallel = _rows(workers=2)
@@ -131,18 +119,16 @@ class TestSweepEquivalence:
 
     def test_shared_cache_across_recomputes_no_false_hits(self):
         # A cache warmed by one recompute strategy must never serve
-        # another strategy's build: sweeping them together from one
-        # cache must match sweeping each alone without any cache.
-        shared = ScheduleIRCache()
+        # another strategy's build: sweeping them together through one
+        # sweep's cache must match sweeping each alone.
         together = _rows(
             schedules=["helix"],
             recomputes=[RecomputeStrategy.NONE,
                         RecomputeStrategy.WITHOUT_ATTENTION],
-            ir_cache=shared,
         )
         for rc in (RecomputeStrategy.NONE, RecomputeStrategy.WITHOUT_ATTENTION):
             alone = _rows(schedules=["helix"], recomputes=[rc],
-                          ir_cache=None, incremental=False)
+                          incremental=False)
             for row in alone:
                 assert row in together, row.label
 
@@ -154,7 +140,7 @@ class TestTelemetry:
         assert tel.candidates == len(rows)
         assert tel.built > 0
         assert tel.simulated > 0
-        assert tel.build_cache_hits == 0  # fresh private cache
+        assert tel.build_cache_hits == 0  # keys are unique within a sweep
         assert tel.incremental_fallbacks == 0
         assert tel.eval_s >= tel.build_s + tel.simulate_s - 1e-9
         snap = tel.as_dict()
@@ -165,28 +151,13 @@ class TestTelemetry:
 
 
 class TestGridSharing:
-    def test_tune_grid_shares_one_cache_across_points(self):
-        grid = WorkloadGrid(
-            seq_lens=(8192,), pipeline_sizes=(2, 4), budget_tokens=1 << 16
-        )
-        shared = ScheduleIRCache()
-        first = tune_grid(grid, cache=CostCache(), ir_cache=shared)
-        misses_after_first = shared.misses
-        # Re-sweeping the same grid through the same cache hits for
-        # every build and changes nothing in the ranking.
-        second = tune_grid(grid, cache=CostCache(), ir_cache=shared)
-        assert [r.label for r in second] == [r.label for r in first]
-        assert shared.hits > 0
-        assert shared.misses == misses_after_first
-
     def test_tune_grid_points_never_alias(self):
-        # Distinct p in one shared cache: every feasible row's plan must
-        # carry its own point's stage count (an aliased IR would leak a
-        # wrong-p schedule across points).
+        # Distinct p in one grid: every feasible row's plan must carry
+        # its own point's stage count (an aliased IR or sim reference
+        # would leak a wrong-p schedule across points).
         grid = WorkloadGrid(
             seq_lens=(8192,), pipeline_sizes=(2, 4), budget_tokens=1 << 16
         )
-        rows = tune_grid(grid, cache=CostCache(), ir_cache=ScheduleIRCache())
-        baseline = tune_grid(grid, cache=CostCache(), ir_cache=None,
-                             incremental=False)
+        rows = tune_grid(grid, cache=CostCache())
+        baseline = tune_grid(grid, cache=CostCache(), incremental=False)
         assert [r.label for r in rows] == [r.label for r in baseline]
