@@ -36,9 +36,22 @@ METHODS: tuple[str, ...] = ("1f1b", "zb1p", "adapipe", "helix")
 
 
 def run_method(wl: Workload, method: str, **kw) -> SimResult:
-    """Build + simulate one method on the workload's cluster."""
+    """Build + simulate one method on the workload's cluster.
+
+    Verification runs once, at build: :meth:`Workload.build` goes
+    through the schedule registry, which runs the full pass pipeline, so
+    the simulator does not re-verify.  The result carries metrics only
+    -- its ``trace`` is empty; for a timeline call :func:`simulate` with
+    ``record_trace=True`` (as ``fig2_fig7_schedules`` does).
+    """
     sched = wl.build(method, **kw)
-    return simulate(sched, wl.cluster, static_memory_bytes=wl.static_memory())
+    return simulate(
+        sched,
+        wl.cluster,
+        static_memory_bytes=wl.static_memory(),
+        verify=False,
+        record_trace=False,
+    )
 
 
 def run_all_methods(wl: Workload, methods: tuple[str, ...] = METHODS) -> dict[str, SimResult]:

@@ -10,21 +10,31 @@ is run through the same pass pipeline before an executor touches it:
 ``deadlock``
     Static deadlock-freedom under the IR's execution semantics (SENDs
     issue asynchronously once the program counter reaches them, RECVs
-    block until the matching SEND has been issued).  A fixed-point
-    abstract execution advances every stage as far as possible; if any
-    program counter is still short of its program end afterwards, the
-    schedule contains a cyclic wait or a RECV whose SEND can never be
-    issued, and the blocked stages/tags are reported.
+    block until the matching SEND has been issued).  A worklist abstract
+    execution advances every stage as far as possible: a stage that
+    reaches a RECV whose tag is not issued yet parks on that tag, and
+    the SEND that issues the tag puts it back on the worklist, so each
+    instruction is stepped over once.  If any program counter is still
+    short of its program end at the fixed point, the schedule contains
+    a cyclic wait or a RECV whose SEND can never be issued, and the
+    blocked stages/tags are reported.
 ``program-order``
     Per-stage, per-(micro batch, segment) ordering: forward before any
     backward, RC between forward and its backward, BI before BW, and no
-    duplicated passes.
+    duplicated passes.  Each (micro batch, segment) keeps a bitmask of
+    the ops seen so far plus the last op.
 ``stash-balance``
     The Table 2 accounting property: per stage, the running sum of
     ``stash_delta`` never goes negative (nothing is released before it
     was stashed) and returns to zero at the end of the iteration (every
     stashed byte is released -- schedules must not leak activations
     across iterations).
+
+Every registry build runs these four passes, so their loops are kept
+cheap: ``type(instr) is X`` dispatch with an ``isinstance`` fallback for
+subclasses, and one pass over each program.  Their findings (messages,
+stages and order) are pinned on a mutation corpus in
+``tests/schedules/test_passes.py``.
 
 Passes return :class:`PassIssue` lists instead of asserting inline, so
 callers can either raise (:func:`run_passes` default, via
@@ -42,6 +52,7 @@ analyses; :func:`run_passes` keeps its historical fail-fast contract for
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from repro.schedules.analysis.framework import (
@@ -51,7 +62,6 @@ from repro.schedules.analysis.framework import (
     register_pass,
 )
 from repro.schedules.ir import (
-    BACKWARD_OPS,
     ComputeInstr,
     OpType,
     RecvInstr,
@@ -126,7 +136,10 @@ def check_structure(schedule: Schedule) -> list[PassIssue]:
                         stage=stage,
                     )
                 )
-            if isinstance(instr, SendInstr):
+            cls = type(instr)
+            if cls is ComputeInstr:
+                continue
+            if cls is SendInstr or isinstance(instr, SendInstr):
                 if instr.peer == instr.stage:
                     issues.append(
                         PassIssue("structure", f"self-send {instr.label}", stage=stage)
@@ -138,7 +151,7 @@ def check_structure(schedule: Schedule) -> list[PassIssue]:
                         )
                     )
                 sends[instr.tag] = instr
-            elif isinstance(instr, RecvInstr):
+            elif cls is RecvInstr or isinstance(instr, RecvInstr):
                 if instr.tag in recvs:
                     issues.append(
                         PassIssue(
@@ -200,23 +213,41 @@ def check_deadlock_freedom(schedule: Schedule) -> list[PassIssue]:
     and a RECV completes once its tag has been issued by the peer.
     Bandwidth and durations are irrelevant to progress, so this check is
     sound and complete for the IR's blocking model.
+
+    Stages run off a worklist, parking on the tag of a blocked RECV
+    until the SEND that issues it wakes them.  Issuing only ever
+    unblocks, so the fixed point -- the final program counters, hence
+    the report -- does not depend on the order stages are run in.
     """
+    programs = schedule.programs
     pcs = [0] * schedule.num_stages
     issued: set[str] = set()
-    progress = True
-    while progress:
-        progress = False
-        for stage, prog in enumerate(schedule.programs):
-            while pcs[stage] < len(prog):
-                instr = prog[pcs[stage]]
-                if isinstance(instr, RecvInstr) and instr.tag not in issued:
+    parked: dict[str, list[int]] = {}
+    work = list(range(len(programs)))
+    while work:
+        stage = work.pop()
+        prog = programs[stage]
+        end = len(prog)
+        for pc in range(pcs[stage], end):
+            instr = prog[pc]
+            cls = type(instr)
+            if cls is ComputeInstr:
+                continue
+            if cls is RecvInstr or isinstance(instr, RecvInstr):
+                if instr.tag not in issued:
+                    parked.setdefault(instr.tag, []).append(stage)
+                    end = pc
                     break
-                if isinstance(instr, SendInstr):
-                    issued.add(instr.tag)
-                pcs[stage] += 1
-                progress = True
+            elif cls is SendInstr or isinstance(instr, SendInstr):
+                tag = instr.tag
+                if tag not in issued:
+                    issued.add(tag)
+                    woken = parked.pop(tag, None)
+                    if woken is not None:
+                        work.extend(woken)
+        pcs[stage] = end
     issues: list[PassIssue] = []
-    for stage, prog in enumerate(schedule.programs):
+    for stage, prog in enumerate(programs):
         if pcs[stage] < len(prog):
             instr = prog[pcs[stage]]
             waiting = (
@@ -236,10 +267,11 @@ def check_deadlock_freedom(schedule: Schedule) -> list[PassIssue]:
 
 # -- program order -----------------------------------------------------------
 
-
-def _seg_key(instr: ComputeInstr) -> tuple:
-    seg = instr.segment
-    return (instr.micro_batch, seg.kind, seg.layer, seg.num_layers)
+#: One bit per op in a (micro batch, segment)'s seen-set.
+_F_BIT, _B_BIT, _BI_BIT, _BW_BIT, _RC_BIT = 1, 2, 4, 8, 16
+#: B and BI both produce the input gradient: at most one of them may run.
+_BGRAD_BITS = _B_BIT | _BI_BIT
+_BACKWARD_BITS = _BGRAD_BITS | _BW_BIT
 
 
 @register_pass(
@@ -248,25 +280,56 @@ def _seg_key(instr: ComputeInstr) -> tuple:
     category="executability",
 )
 def check_program_order(schedule: Schedule) -> list[PassIssue]:
-    """Per-stage F/RC/B/BI/BW ordering for each (micro batch, segment)."""
+    """Per-stage F/RC/B/BI/BW ordering for each (micro batch, segment).
+
+    Each (micro batch, segment) keeps a bitmask of the ops seen so far
+    and the bit of the last one.  Segments are interned by value to
+    small ints, looked up by object identity (the schedule keeps every
+    segment alive for the whole pass), so the per-instruction key is a
+    pair of ints rather than a tuple holding an enum.
+    """
     issues: list[PassIssue] = []
+    F, B, BI, BW = OpType.F, OpType.B, OpType.BI, OpType.BW
+    f_bit, b_bit, bi_bit, bw_bit, rc_bit = _F_BIT, _B_BIT, _BI_BIT, _BW_BIT, _RC_BIT
+    bgrad_bits, backward_bits = _BGRAD_BITS, _BACKWARD_BITS
+    seg_ids: dict[int, int] = {}
+    seg_keys: dict[tuple, int] = {}
     for stage, prog in enumerate(schedule.programs):
-        seen: dict[tuple, list[OpType]] = {}
+        seen: dict[tuple[int, int], list[int]] = {}
         for instr in prog:
-            if not isinstance(instr, ComputeInstr):
+            if type(instr) is not ComputeInstr and not isinstance(instr, ComputeInstr):
                 continue
-            ops = seen.setdefault(_seg_key(instr), [])
-            op = instr.op
-            if op is OpType.F and ops:
-                issues.append(
-                    PassIssue(
-                        "program-order",
-                        f"duplicate forward {instr.label}",
-                        stage=stage,
-                    )
+            seg = instr.segment
+            sid = seg_ids.get(id(seg))
+            if sid is None:
+                sid = seg_keys.setdefault(
+                    (seg.kind, seg.layer, seg.num_layers), len(seg_keys)
                 )
-            elif op in BACKWARD_OPS or op is OpType.RC:
-                if OpType.F not in ops:
+                seg_ids[id(seg)] = sid
+            key = (instr.micro_batch, sid)
+            state = seen.get(key)
+            if state is None:
+                state = seen[key] = [0, 0]
+            mask, last = state
+            op = instr.op
+            if op is F:
+                bit = f_bit
+                if mask:
+                    issues.append(
+                        PassIssue(
+                            "program-order",
+                            f"duplicate forward {instr.label}",
+                            stage=stage,
+                        )
+                    )
+            else:
+                bit = (
+                    b_bit if op is B
+                    else bi_bit if op is BI
+                    else bw_bit if op is BW
+                    else rc_bit
+                )
+                if not mask & f_bit:
                     issues.append(
                         PassIssue(
                             "program-order",
@@ -274,7 +337,7 @@ def check_program_order(schedule: Schedule) -> list[PassIssue]:
                             stage=stage,
                         )
                     )
-                if op is OpType.RC and (ops and ops[-1] in BACKWARD_OPS):
+                if bit == rc_bit and last & backward_bits:
                     issues.append(
                         PassIssue(
                             "program-order",
@@ -282,9 +345,7 @@ def check_program_order(schedule: Schedule) -> list[PassIssue]:
                             stage=stage,
                         )
                     )
-                if op in (OpType.B, OpType.BI) and any(
-                    o in (OpType.B, OpType.BI) for o in ops
-                ):
+                if bit & bgrad_bits and mask & bgrad_bits:
                     issues.append(
                         PassIssue(
                             "program-order",
@@ -292,7 +353,7 @@ def check_program_order(schedule: Schedule) -> list[PassIssue]:
                             stage=stage,
                         )
                     )
-                if op is OpType.BW and OpType.BI not in ops:
+                if bit == bw_bit and not mask & bi_bit:
                     issues.append(
                         PassIssue(
                             "program-order",
@@ -300,7 +361,8 @@ def check_program_order(schedule: Schedule) -> list[PassIssue]:
                             stage=stage,
                         )
                     )
-            ops.append(op)
+            state[0] = mask | bit
+            state[1] = bit
     return issues
 
 
@@ -321,35 +383,36 @@ def check_stash_balance(schedule: Schedule) -> list[PassIssue]:
     """Running stash never negative; zero net stash at end of iteration."""
     issues: list[PassIssue] = []
     for stage, prog in enumerate(schedule.programs):
-        total_stashed = sum(
+        deltas = [
             i.stash_delta
             for i in prog
-            if isinstance(i, ComputeInstr) and i.stash_delta > 0
-        )
-        tol = _STASH_REL_TOL * max(1.0, total_stashed)
-        running = 0.0
-        went_negative = False
-        for instr in prog:
-            if not isinstance(instr, ComputeInstr):
-                continue
-            running += instr.stash_delta
-            if running < -tol:
-                issues.append(
-                    PassIssue(
-                        "stash-balance",
-                        f"running stash {running:.6g} B negative after "
-                        f"{instr.label}",
-                        stage=stage,
-                    )
-                )
-                went_negative = True
-                break
-        # The net check is only meaningful when the scan reached the end.
-        if not went_negative and abs(running) > tol:
+            if type(i) is ComputeInstr or isinstance(i, ComputeInstr)
+        ]
+        tol = _STASH_REL_TOL * max(1.0, sum([d for d in deltas if d > 0]))
+        # runs[k] is the stash after the k-th compute instruction.  A NaN
+        # poisons every later entry and never compares below the running
+        # minimum, so min() sees exactly the prefix a sequential scan would.
+        runs = list(accumulate(deltas, initial=0.0))
+        if min(runs) < -tol:
+            k = next(k for k, r in enumerate(runs) if r < -tol)
+            label = [
+                i
+                for i in prog
+                if type(i) is ComputeInstr or isinstance(i, ComputeInstr)
+            ][k - 1].label
             issues.append(
                 PassIssue(
                     "stash-balance",
-                    f"net stash {running:.6g} B at end of iteration "
+                    f"running stash {runs[k]:.6g} B negative after {label}",
+                    stage=stage,
+                )
+            )
+        # The net check is only meaningful when the scan reached the end.
+        elif abs(runs[-1]) > tol:
+            issues.append(
+                PassIssue(
+                    "stash-balance",
+                    f"net stash {runs[-1]:.6g} B at end of iteration "
                     "(activations leaked or over-released)",
                     stage=stage,
                 )

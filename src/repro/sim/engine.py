@@ -159,8 +159,12 @@ class PipelineSimulator:
     duplex:
         ``"half"`` (one comm engine per stage) or ``"full"`` (default).
     verify:
-        Run the executability passes before simulating.  Callers that
-        just verified the schedule (registry builds) may disable this.
+        Run the executability passes (structure and deadlock-freedom)
+        before simulating.  A registry build (``ScheduleSpec.build``,
+        ``build_schedule``, ``Workload.build``) has already run the full
+        pass pipeline unless it was asked not to, so callers simulating
+        a registry-built schedule pass ``verify=False`` rather than
+        verify twice.
     record_trace:
         Record per-interval :class:`~repro.sim.trace.Trace` entries.
         Disabling skips all Interval allocation (the tuner's hot path);

@@ -1,7 +1,11 @@
 """Integration smoke tests for every experiment module (fast configs)."""
 
+import dataclasses
+
 import pytest
 
+import repro.schedules.registry as registry
+import repro.sim.engine as engine
 from repro.experiments import (
     Workload,
     chunked_mlp,
@@ -18,6 +22,10 @@ from repro.experiments import (
     table1,
     table2,
 )
+from repro.experiments.common import METHODS
+from repro.schedules.ir import RecvInstr
+from repro.schedules.passes import ScheduleVerificationError
+from repro.sim import simulate
 
 
 class TestWorkload:
@@ -39,6 +47,77 @@ class TestWorkload:
         wl = Workload.paper("1.3B", "H20", 2, 32768)
         r = run_method(wl, method)
         assert r.makespan > 0
+
+
+RUN_METHOD_CASES = [
+    (method, p) for method in METHODS + ("helix-no-recompute",) for p in (2, 4)
+]
+
+
+class TestRunMethod:
+    """``run_method`` verifies at build only and simulates untraced."""
+
+    @pytest.mark.parametrize("method,p", RUN_METHOD_CASES)
+    def test_metrics_match_verified_traced_simulation(self, method, p):
+        wl = Workload.paper("1.3B", "H20", p, 32768)
+        got = run_method(wl, method)
+        ref = simulate(
+            wl.build(method),
+            wl.cluster,
+            static_memory_bytes=wl.static_memory(),
+            verify=True,
+            record_trace=True,
+        )
+        assert got.schedule_name == ref.schedule_name
+        assert got.makespan == ref.makespan
+        assert len(got.stages) == len(ref.stages) == p
+        for mine, theirs in zip(got.stages, ref.stages):
+            assert mine.busy_time == theirs.busy_time
+            assert mine.comm_blocked_time == theirs.comm_blocked_time
+            assert mine.peak_memory_bytes == theirs.peak_memory_bytes
+            assert mine.static_memory_bytes == theirs.static_memory_bytes
+            assert mine.bytes_sent == theirs.bytes_sent
+            assert mine.bytes_received == theirs.bytes_received
+        assert got.stages == ref.stages
+        # Metrics only: no timeline is recorded.
+        assert got.trace.intervals == [] and ref.trace.intervals
+
+    @pytest.mark.parametrize("method,p", RUN_METHOD_CASES)
+    def test_verifies_exactly_once(self, method, p, monkeypatch):
+        calls = []
+
+        def spy(module):
+            real = module.run_passes
+
+            def run_passes(schedule, *args, **kwargs):
+                calls.append((module.__name__, schedule.name))
+                return real(schedule, *args, **kwargs)
+
+            monkeypatch.setattr(module, "run_passes", run_passes)
+
+        spy(registry)
+        spy(engine)
+        run_method(Workload.paper("1.3B", "H20", p, 32768), method)
+        assert [mod for mod, _ in calls] == ["repro.schedules.registry"]
+
+    def test_corrupted_build_still_raises(self, monkeypatch):
+        spec = registry.get_schedule("1f1b")
+        build = spec.builder
+
+        def drop_first_recv(*args, **kwargs):
+            sched = build(*args, **kwargs)
+            prog = sched.programs[-1]
+            prog.remove(next(i for i in prog if isinstance(i, RecvInstr)))
+            return sched
+
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "1f1b",
+            dataclasses.replace(spec, builder=drop_first_recv),
+        )
+        wl = Workload.paper("1.3B", "H20", 2, 32768)
+        with pytest.raises(ScheduleVerificationError, match="unpaired tag"):
+            run_method(wl, "1f1b")
 
 
 class TestExperimentModules:
